@@ -9,11 +9,6 @@ read path in the repository uses — for two workloads:
 - ``autoencoder_fallback`` — the fused candidate-selection autoencoder
   the degraded fallback scores with. Its wider matmuls are BLAS-bound,
   so the compiled path's allocation savings matter less.
-- ``sharded_serving`` — end-to-end ``ScoringPipeline.process`` over a
-  large batch, single-process vs a 2-worker shard pool (see
-  :mod:`repro.serving.sharding`). On many-core hosts sharding wins once
-  batches are large; on small hosts the IPC overhead shows up honestly
-  as a sub-1x speedup.
 
 Three variants per forward workload, interleaved inside a single timing
 loop so clock drift and CPU frequency scaling hit all variants equally:
@@ -33,8 +28,11 @@ with BLAS/OMP thread pools pinned to one thread (the payload records
 the pinning and the host's ``cpu_count``), so numbers compare across
 runs instead of tracking whatever thread count the host BLAS picked.
 
-Writes ``BENCH_inference.json`` at the repo root. Non-gating: the ci.sh
-``bench`` lane runs this for trend tracking, not as a pass/fail check.
+Merges its keys into ``BENCH_inference.json`` at the repo root: the file
+is read, this bench's top-level keys are replaced, and every other
+section (``traffic_replay`` / ``drift_recovery`` from
+``bench_replay.py``) is kept. Non-gating: the ci.sh ``bench`` lane runs
+this for trend tracking, not as a pass/fail check.
 
 Usage::
 
@@ -65,11 +63,6 @@ WORKLOADS = {
     # Candidate-selection AE, encoder+decoder fused (Eq. 2 read path).
     "autoencoder_fallback": [32, 64, 16, 64, 32],
 }
-
-#: End-to-end pipeline workload (not a plain forward pass).
-SHARDED_WORKLOAD = "sharded_serving"
-SHARD_ROWS = 65536
-SHARD_WORKERS = 2
 
 #: Backend-comparison workloads: the SQB one-hot regime (a small dense
 #: numeric prefix followed by wide one-hot categorical blocks) at the
@@ -200,72 +193,9 @@ def _measure_backend_compare(name: str, repeats: int) -> dict:
     }
 
 
-def _measure_sharded(repeats: int) -> dict:
-    """Pipeline rows/sec: single-process vs a 2-worker shard pool.
-
-    Fits a real (tiny, fast) TargAD whose classifier network is exactly
-    the ``classifier_head`` architecture — scoring throughput does not
-    care about accuracy, but the pipeline needs the full fitted model
-    (candidate selection included) to calibrate its fallback scorer.
-    """
-    from repro.core.config import TargADConfig
-    from repro.core.model import TargAD
-    from repro.serving import ScoringPipeline
-
-    rng = np.random.default_rng(0)
-    sizes = WORKLOADS["classifier_head"]
-    n_features = sizes[0]
-    m, k = 3, sizes[-1] - 3  # network: features -> clf_hidden -> m + k
-    X_unlabeled = np.vstack([
-        rng.normal(size=(600, n_features)),
-        rng.normal(3.0, 1.0, size=(60, n_features)),
-    ])
-    X_labeled = rng.normal(5.0, 1.0, size=(48, n_features))
-    y_labeled = rng.integers(0, m, size=48)
-    model = TargAD(TargADConfig(
-        k=k, clf_hidden=tuple(sizes[1:-1]), clf_epochs=3, ae_epochs=5,
-        random_state=0,
-    ))
-    model.fit(X_unlabeled, X_labeled, y_labeled)
-    X_val = rng.normal(size=(2048, n_features))
-    X = rng.normal(size=(SHARD_ROWS, n_features))
-
-    def make_pipeline(workers: int) -> "ScoringPipeline":
-        pipe = ScoringPipeline(
-            model, policy="budget", review_budget=100, monitor_drift=False,
-            shard_workers=workers, min_shard_rows=4096,
-        )
-        return pipe.calibrate(X_val)
-
-    single = make_pipeline(0)
-    sharded = make_pipeline(SHARD_WORKERS)
-
-    def once(pipe: "ScoringPipeline") -> float:
-        start = time.perf_counter()
-        pipe.process(X)
-        return time.perf_counter() - start
-
-    once(single)   # warm: plan cache
-    once(sharded)  # warm: pool spawn + per-worker plan cache
-    best = {"single": float("inf"), "sharded": float("inf")}
-    for _ in range(repeats):
-        best["single"] = min(best["single"], once(single))
-        best["sharded"] = min(best["sharded"], once(sharded))
-    sharded.close()
-    return {
-        "workload": SHARDED_WORKLOAD,
-        "backend": "numpy",
-        "rows": SHARD_ROWS,
-        "shard_workers": SHARD_WORKERS,
-        "single_rows_per_sec": round(SHARD_ROWS / best["single"], 1),
-        "sharded_rows_per_sec": round(SHARD_ROWS / best["sharded"], 1),
-        "speedup_sharded_vs_single": round(best["single"] / best["sharded"], 2),
-    }
-
-
 def run(repeats: int) -> dict:
     results = []
-    for name in [*WORKLOADS, *BACKEND_WORKLOADS, SHARDED_WORKLOAD]:
+    for name in [*WORKLOADS, *BACKEND_WORKLOADS]:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         env.update(THREAD_ENV)
@@ -302,18 +232,21 @@ def run(repeats: int) -> dict:
     }
 
 
+def merge_into(path: Path, payload: dict) -> None:
+    """Replace this bench's top-level keys in ``path``, keep the rest."""
+    merged = json.loads(path.read_text()) if path.exists() else {}
+    merged.update(payload)
+    path.write_text(json.dumps(merged, indent=2) + "\n")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=9)
     parser.add_argument("--out", type=Path, default=REPO_ROOT / "BENCH_inference.json")
     parser.add_argument("--worker",
-                        choices=sorted([*WORKLOADS, *BACKEND_WORKLOADS,
-                                        SHARDED_WORKLOAD]),
+                        choices=sorted([*WORKLOADS, *BACKEND_WORKLOADS]),
                         help="internal: measure one workload, print JSON")
     args = parser.parse_args()
-    if args.worker == SHARDED_WORKLOAD:
-        print(json.dumps(_measure_sharded(args.repeats)))
-        return
     if args.worker in BACKEND_WORKLOADS:
         print(json.dumps(_measure_backend_compare(args.worker, args.repeats)))
         return
@@ -321,8 +254,8 @@ def main() -> None:
         print(json.dumps(_measure(args.worker, args.repeats)))
         return
     payload = run(args.repeats)
-    args.out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    merge_into(args.out, payload)
+    print(f"merged inference_throughput keys into {args.out}")
     for row in payload["results"]:
         if row["workload"] in BACKEND_WORKLOADS:
             print(
@@ -330,15 +263,6 @@ def main() -> None:
                 f"numpy={row['numpy_rows_per_sec']:>12,.0f} r/s  "
                 f"tiled={row['tiled_rows_per_sec']:>12,.0f} r/s  "
                 f"({row['speedup_tiled_vs_numpy']}x)"
-            )
-            continue
-        if row["workload"] == SHARDED_WORKLOAD:
-            print(
-                f"  {row['workload']:>20} rows={row['rows']:<6} "
-                f"single={row['single_rows_per_sec']:>12,.0f} r/s  "
-                f"sharded={row['sharded_rows_per_sec']:>12,.0f} r/s  "
-                f"({row['speedup_sharded_vs_single']}x, "
-                f"{row['shard_workers']} workers)"
             )
             continue
         print(

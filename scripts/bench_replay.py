@@ -11,10 +11,7 @@ arrivals, mixed batch sizes — see :mod:`repro.serving.replay`) against
   per-call fixed cost;
 - ``daemon`` — a :class:`~repro.serving.daemon.ServingDaemon` with the
   spec resident in a long-lived worker and shared-memory ring transport:
-  concurrent arrivals are coalesced into fused scoring calls;
-- ``striped`` (``striped_daemon`` workload only) — a
-  :class:`~repro.serving.executor.StripedDaemonExecutor` splitting each
-  large batch across both daemon workers with an in-order merge.
+  concurrent arrivals are coalesced into fused scoring calls.
 
 Reported per (workload, mode): p50/p95/p99/max latency **against the
 scheduled arrival time** (queueing delay counts — the open-loop rule),
@@ -66,16 +63,6 @@ WORKLOADS = {
     "mixed_load": dict(rate_rps=2500.0, n_requests=1500,
                        batch_mix=((16, 0.5), (64, 0.35), (256, 0.15)),
                        daemon_workers=1),
-    # Few huge requests against 2 daemon workers: the row-striping
-    # regime. Replayed three ways — single, plain 2-worker daemon, and
-    # StripedDaemonExecutor splitting each batch across both workers.
-    # On a 1-CPU CI host the stripes time-slice one core and striping
-    # is expected to LOSE to the plain daemon (recorded honestly, as
-    # the sharding bench did in PR 5); with >=2 free cores the stripes
-    # score concurrently and the merge is the only added cost.
-    "striped_daemon": dict(rate_rps=400.0, n_requests=400,
-                           batch_mix=((2048, 1.0),), daemon_workers=2,
-                           striped=True),
 }
 
 #: --smoke shrinks every workload to a few-second sanity pass (CI lane).
@@ -140,29 +127,6 @@ def _measure(name: str, smoke: bool) -> dict:
         daemon.score(X_pool[:64])  # warm the worker's plan cache
         result = replay_daemon(spec, schedule, X_pool, daemon)
 
-    extra = {}
-    if params.get("striped"):
-        from repro.serving.executor import StripedDaemonExecutor
-
-        executor = StripedDaemonExecutor(
-            lambda: build_scoring_spec(model, "ed"),
-            n_workers=params["daemon_workers"], stripe_min_rows=512,
-        )
-        try:
-            # A 1024-row warm batch stripes across both workers, so each
-            # worker compiles its plan before the clock starts.
-            executor.score(X_pool[:1024])
-            striped = replay_daemon(spec, schedule, X_pool, executor)
-        finally:
-            executor.close()
-        extra["striped"] = striped.to_dict()
-        extra["striped_speedup_vs_single"] = round(
-            striped.rows_per_sec / single.rows_per_sec, 2
-        ) if single.rows_per_sec else 0.0
-        extra["striped_speedup_vs_daemon"] = round(
-            striped.rows_per_sec / result.rows_per_sec, 2
-        ) if result.rows_per_sec else 0.0
-
     return {
         "workload": name,
         "rate_rps": spec.rate_rps,
@@ -177,7 +141,6 @@ def _measure(name: str, smoke: bool) -> dict:
         "daemon_p99_vs_single": round(
             single.percentile_ms(99) / max(result.percentile_ms(99), 1e-9), 2
         ),
-        **extra,
     }
 
 
@@ -265,8 +228,6 @@ def _run_worker(name: str, smoke: bool) -> dict:
 
 def run(smoke: bool) -> dict:
     results = [_run_worker(name, smoke) for name in WORKLOADS]
-    striped = [r["striped_speedup_vs_daemon"] for r in results
-               if "striped_speedup_vs_daemon" in r]
     return {
         "pool_rows": POOL_ROWS,
         "smoke": smoke,
@@ -276,9 +237,6 @@ def run(smoke: bool) -> dict:
         "daemon_speedup_best": max(
             r["daemon_speedup_vs_single"] for r in results
         ),
-        # Striping vs the plain daemon on the large-batch workload
-        # (expected < 1.0 on a 1-CPU host, > 1.0 with free cores).
-        "striped_speedup_best": max(striped) if striped else None,
     }
 
 
@@ -311,10 +269,8 @@ def main() -> None:
     print(f"wrote traffic_replay + drift_recovery sections to {args.out} "
           f"({time.perf_counter() - start:.1f}s)")
     for row in section["results"]:
-        for mode in ("single", "daemon", "striped"):
-            d = row.get(mode)
-            if d is None:
-                continue
+        for mode in ("single", "daemon"):
+            d = row[mode]
             print(f"  {row['workload']:>14}/{mode:<7} "
                   f"p50={d['latency_p50_ms']:>9.2f}ms "
                   f"p99={d['latency_p99_ms']:>9.2f}ms "
@@ -322,15 +278,8 @@ def main() -> None:
         print(f"  {row['workload']:>14} daemon speedup "
               f"{row['daemon_speedup_vs_single']}x throughput, "
               f"{row['daemon_p99_vs_single']}x p99")
-        if "striped_speedup_vs_daemon" in row:
-            print(f"  {row['workload']:>14} striping "
-                  f"{row['striped_speedup_vs_daemon']}x vs plain daemon, "
-                  f"{row['striped_speedup_vs_single']}x vs single")
     print(f"  headline: daemon {section['daemon_speedup_best']}x vs "
           "single-process under load")
-    if section.get("striped_speedup_best") is not None:
-        print(f"  striping: {section['striped_speedup_best']}x vs plain "
-              "daemon on the large-batch workload")
     dts = drift.get("detection_to_swap_seconds")
     print(f"  drift recovery: detected after {drift['batches_to_detection']} "
           f"drifted batch(es), detection->swap "

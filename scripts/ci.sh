@@ -6,9 +6,8 @@
 #   scripts/ci.sh tier1    # tier-1 gate only
 #   scripts/ci.sh chaos    # chaos lane only (-m chaos fault-injection scenarios)
 #   scripts/ci.sh taxonomy # anomaly-taxonomy lane (-m taxonomy injector/sweep tests)
-#   scripts/ci.sh shard    # multi-process sharding tests (2-worker pools)
 #   scripts/ci.sh daemon   # serving daemon + shm ring suites + replay smoke
-#   scripts/ci.sh executor # executor conformance suite (2-worker pools)
+#   scripts/ci.sh executor # executor conformance suite (2-worker daemons)
 #   scripts/ci.sh lifecycle # drift-triggered refit + hot-swap suites + CLI smoke
 #   scripts/ci.sh backend  # backend conformance + parity under numpy AND tiled
 #   scripts/ci.sh bench    # inference throughput benchmark (non-gating)
@@ -47,15 +46,6 @@ run_taxonomy() {
     python -m pytest -x -q -m taxonomy
 }
 
-run_shard() {
-    # The serving fast-path suites: sharded pipelines spin up real
-    # 2-worker process pools, so this lane exercises true multi-process
-    # scoring plus the plan cache and fused kernels they depend on.
-    echo '== shard lane: multi-process sharding + serving fast path =='
-    python -m pytest -x -q tests/serving/test_sharding.py \
-        tests/nn/test_plan_cache.py tests/nn/test_fused_kernels.py
-}
-
 run_daemon() {
     # The always-on serving lane: daemon parity/failure tests and the
     # ring-buffer property suite spin up real worker pools over shared
@@ -71,25 +61,26 @@ run_daemon() {
 }
 
 run_executor() {
-    # The execution-layer lane: the conformance suite holds every
-    # executor (inline / sharded / daemon / striped daemon) to one
-    # contract — bitwise parity with inline incl. post-swap, infra
-    # faults demoting down the chain without touching the breaker,
-    # model faults propagating into it, update_spec visibility,
-    # idempotent close — with real 2-worker pools, plus the zero-copy
+    # The execution-layer lane: the conformance suite holds both
+    # executors (inline / daemon) to one contract — bitwise parity with
+    # inline incl. post-swap, infra faults demoting down the chain
+    # without touching the breaker, model faults propagating into it,
+    # update_spec visibility, idempotent close — with a real 2-worker
+    # daemon, plus the pipeline's executor= argument and the zero-copy
     # result-read regressions the daemon path depends on.
     echo '== executor lane: conformance across execution paths =='
     python -m pytest -x -q tests/serving/test_executor_conformance.py \
-        tests/serving/test_zero_copy.py
+        tests/serving/test_pipeline.py tests/serving/test_zero_copy.py
 }
 
 run_lifecycle() {
     # The continual-learning lane: drift-triggered refit + zero-downtime
     # hot-swap. Covers the LifecycleManager loop, the hot-swap integration
-    # suite (plain / daemon / sharded pipelines, bitwise post-swap parity,
-    # concurrent-traffic atomicity), drift-monitor robustness regressions,
-    # checkpoint housekeeping, and the swap-phase chaos scenarios. Ends
-    # with a CLI drift-replay smoke on a tiny split.
+    # suite (inline, owned-daemon and caller-owned-daemon pipelines,
+    # bitwise post-swap parity, concurrent-traffic atomicity, rollback),
+    # drift-monitor robustness regressions, checkpoint housekeeping, and
+    # the swap-phase chaos scenarios. Ends with a CLI drift-replay smoke
+    # on a tiny split.
     echo '== lifecycle lane: drift-triggered refit + hot-swap =='
     python -m pytest -x -q tests/lifecycle \
         tests/serving/test_hotswap.py tests/serving/test_drift.py \
@@ -188,22 +179,8 @@ if replay and floor is not None:
         print(f"WARNING: {message}", file=sys.stderr)
     else:
         print(f"bench check: replay daemon {best}x >= floor {floor}x")
-    striped_floor = baseline.get("replay_striped_daemon_speedup_min")
-    best_striped = replay.get("striped_speedup_best")
-    if striped_floor is not None and best_striped is not None:
-        if best_striped < striped_floor:
-            message = (
-                f"traffic-replay regression: striped daemon at "
-                f"{best_striped}x vs plain daemon, baseline floor "
-                f"{striped_floor}x (non-gating)"
-            )
-            print(f"::warning title=bench regression::{message}")
-            print(f"WARNING: {message}", file=sys.stderr)
-        else:
-            print(f"bench check: striped daemon {best_striped}x >= "
-                  f"floor {striped_floor}x")
     for row in replay.get("results", ()):
-        for mode in ("single", "daemon", "striped"):
+        for mode in ("single", "daemon"):
             d = row.get(mode)
             if d is None:
                 continue
@@ -222,12 +199,11 @@ case "$lane" in
     fast)  run_fast ;;
     chaos) run_chaos ;;
     taxonomy) run_taxonomy ;;
-    shard) run_shard ;;
     daemon) run_daemon ;;
     executor) run_executor ;;
     lifecycle) run_lifecycle ;;
     backend) run_backend ;;
     bench) run_bench ;;
     all)   run_tier1; run_fast ;;
-    *)     echo "usage: scripts/ci.sh [tier1|fast|chaos|taxonomy|shard|daemon|executor|lifecycle|backend|bench|all]" >&2; exit 2 ;;
+    *)     echo "usage: scripts/ci.sh [tier1|fast|chaos|taxonomy|daemon|executor|lifecycle|backend|bench|all]" >&2; exit 2 ;;
 esac

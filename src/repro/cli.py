@@ -9,13 +9,14 @@ Subcommands::
     repro telemetry --dataset NAME [...]        # profile fit+serve, dashboard
     repro resilience --model PATH --dataset NAME [...]  # chaos replay
     repro taxonomy  [--grid smoke|full] [...]   # cross-family robustness sweep
-    repro serve-bench --dataset NAME [...]      # executor latency-under-load replay
+    repro serve-bench --dataset NAME [...]      # daemon latency-under-load replay
     repro lifecycle --dataset NAME [...]        # drift-triggered refit + hot-swap replay
 
-Serving commands select the execution path with the same ``executor=``
-presets as :class:`repro.serving.ScoringPipeline` (``inline``,
-``sharded``, ``daemon``, ``striped_daemon``) plus the striping /
-adaptive micro-batching knobs, rather than raw constructor flags.
+``repro lifecycle --executor`` takes the same ``inline`` / ``daemon``
+presets as :class:`repro.serving.ScoringPipeline`'s ``executor=``.
+``repro serve-bench`` always replays against a plain
+:class:`repro.serving.ServingDaemon` and exposes that daemon's worker
+and adaptive micro-batching settings directly.
 
 Every command is deterministic under ``--seed``.
 """
@@ -328,33 +329,14 @@ def _serve_bench_under_backend(args) -> int:
     from repro.obs import TelemetryRegistry
 
     registry = TelemetryRegistry()
-    if args.executor == "striped_daemon":
-        from repro.serving.executor import StripedDaemonExecutor
-
-        executor = StripedDaemonExecutor(
-            lambda: build_scoring_spec(model, args.strategy),
-            n_workers=args.workers, stripe_min_rows=args.stripe_min_rows,
-            adaptive_batch=args.adaptive_batch,
-            min_batch_rows=args.min_batch_rows, telemetry=registry,
-        )
-        try:
-            # Warm with a striping-sized batch so every worker compiles
-            # its plan before the clock starts.
-            executor.score(X_pool[: min(2 * args.stripe_min_rows, len(X_pool))])
-            result = replay_daemon(spec, schedule, X_pool, executor,
-                                   mode="striped_daemon")
-            slo = executor.daemon.slo_snapshot()
-        finally:
-            executor.close()
-    else:
-        scoring_spec = build_scoring_spec(model, args.strategy)
-        with ServingDaemon(scoring_spec, n_workers=args.workers,
-                           adaptive_batch=args.adaptive_batch,
-                           min_batch_rows=args.min_batch_rows,
-                           telemetry=registry) as daemon:
-            daemon.score(X_pool[: min(64, len(X_pool))])
-            result = replay_daemon(spec, schedule, X_pool, daemon)
-            slo = daemon.slo_snapshot()
+    scoring_spec = build_scoring_spec(model, args.strategy)
+    with ServingDaemon(scoring_spec, n_workers=args.workers,
+                       adaptive_batch=args.adaptive_batch,
+                       min_batch_rows=args.min_batch_rows,
+                       telemetry=registry) as daemon:
+        daemon.score(X_pool[: min(64, len(X_pool))])
+        result = replay_daemon(spec, schedule, X_pool, daemon)
+        slo = daemon.slo_snapshot()
     print("  " + result.summary())
     speedup = (result.rows_per_sec / single.rows_per_sec
                if single.rows_per_sec else 0.0)
@@ -367,7 +349,6 @@ def _serve_bench_under_backend(args) -> int:
     if args.json:
         payload = {
             "workload": spec.name,
-            "executor": args.executor,
             "backend": args.backend,
             "single": single.to_dict(),
             "daemon": result.to_dict(),
@@ -459,7 +440,7 @@ def cmd_lifecycle(args) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         print(f"Lifecycle results written to {args.json}")
-    pipe.close()  # tears down any daemon/shard workers the preset built
+    pipe.close()  # shuts down the owned daemon the "daemon" preset built
     return 0
 
 
@@ -569,8 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_srv = sub.add_parser(
         "serve-bench",
-        help="replay open-loop traffic against a daemon executor "
-        "(ScoringPipeline executor= presets 'daemon'/'striped_daemon')",
+        help="replay open-loop traffic against the serving daemon vs "
+        "single-process scoring",
     )
     _add_split_args(p_srv)
     p_srv.add_argument("--k", type=int, default=None, help="clusters (default: elbow)")
@@ -582,16 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of requests to replay")
     p_srv.add_argument("--batch-mix", default="16:0.5,64:0.35,256:0.15",
                        help="rows:weight pairs, comma-separated")
-    p_srv.add_argument("--executor", default="daemon",
-                       choices=["daemon", "striped_daemon"],
-                       help="execution path to replay against: the plain "
-                       "always-on daemon, or the striped executor that "
-                       "splits large batches across idle workers "
-                       "(matches ScoringPipeline's executor= presets)")
     p_srv.add_argument("--workers", type=int, default=1,
-                       help="daemon worker processes (striping needs >= 2)")
-    p_srv.add_argument("--stripe-min-rows", type=int, default=1024,
-                       help="smallest batch the striped executor splits")
+                       help="daemon worker processes")
     p_srv.add_argument("--adaptive-batch", action="store_true",
                        help="tune the coalescing ceiling from queue depth "
                        "instead of a fixed max batch")
@@ -612,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lc.add_argument("--k", type=int, default=None, help="clusters (default: elbow)")
     p_lc.add_argument("--alpha", type=float, default=0.05)
     p_lc.add_argument("--executor", default="inline",
-                      choices=["inline", "sharded", "daemon", "striped_daemon"],
+                      choices=["inline", "daemon"],
                       help="ScoringPipeline executor= preset the drift "
                       "scenario serves through (hot swaps push the new "
                       "generation to whichever path is live)")

@@ -54,7 +54,7 @@ def route_from_logits(
     it is invoked only when anomalous rows exist, which lets
     :class:`TargAD` defer strategy calibration until routing actually
     needs it. Shared by :meth:`TargAD.predict_triclass`/``score_batch``
-    and the sharded serving workers, which carry the fitted strategy in
+    and the serving daemon's workers, which carry the fitted strategy in
     their serialized scoring spec — one definition, identical routing
     on both paths. Returns the kind codes of :mod:`repro.data.schema`
     (0/1/2).

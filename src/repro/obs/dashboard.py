@@ -24,7 +24,7 @@ _KNOWN_SERIES = (
     ("serve.batch", "n_alerts", "alerts / batch"),
     ("serve.batch", "latency_ms", "process latency (ms) / batch"),
     ("serve.batch", "n_quarantined", "quarantined rows / batch"),
-    ("serve.batch", "n_shards", "shards / batch"),
+    ("serve.batch", "n_target", "target-routed rows / batch"),
     ("serve.drift", "max_ks", "drift max KS / event"),
     ("lifecycle.cycle", "auprc_ratio", "refit AUPRC ratio / cycle"),
 )

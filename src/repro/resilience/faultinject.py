@@ -111,8 +111,8 @@ class FaultPlan:
 #: :class:`~repro.lifecycle.LifecycleManager` and
 #: ``ScoringPipeline.swap_model``. ``assemble``/``label``/``refit``/
 #: ``validate`` happen before any serving state is touched; ``stage``
-#: (build spec/threshold/fallback), ``push`` (re-push spec to daemon or
-#: shard workers) and ``flip`` (pointer swap) happen inside the swap.
+#: (build spec/threshold/fallback), ``push`` (re-push spec to daemon
+#: workers) and ``flip`` (pointer swap) happen inside the swap.
 SWAP_PHASES = ("assemble", "label", "refit", "validate", "stage", "push", "flip")
 
 

@@ -16,24 +16,21 @@ are sanitized (bad rows quarantined, marked :data:`ROUTE_QUARANTINED` in
 the routing), and the primary scorer is guarded by a circuit breaker
 with a reconstruction-error fallback for degraded operation.
 
-Execution runs through the unified executor layer
-(:mod:`repro.serving.executor`): a
-:class:`~repro.serving.executor.FallbackChain` of
-:class:`~repro.serving.executor.Executor` adapters — always-on daemon
-(optionally striping large batches across its idle workers), per-batch
-shard pool, inline — where infrastructure failures demote a batch down
-the chain and model faults propagate to the circuit breaker uniformly.
+Execution runs through the executor layer (:mod:`repro.serving.executor`):
+a :class:`~repro.serving.executor.FallbackChain` of
+:class:`~repro.serving.executor.Executor` adapters — an optional
+always-on daemon, then inline — where infrastructure failures demote a
+batch down the chain and model faults propagate to the circuit breaker
+uniformly. ``ScoringPipeline(executor=...)`` takes ``"inline"``,
+``"daemon"``, or a started :class:`~repro.serving.daemon.ServingDaemon`.
 
-The underlying engines: :mod:`repro.serving.sharding` ships a picklable
-:class:`~repro.serving.sharding.ScoringSpec` snapshot of the fitted
-model to a process pool and merges contiguous row shards
-deterministically in input order;
-:class:`~repro.serving.daemon.ServingDaemon` keeps that spec *resident*
-in long-lived workers and moves rows and results through
-:class:`~repro.serving.shm_ring.ShmRing` shared-memory ring buffers
-(zero pickling on the hot path, zero-copy result reads), coalescing
-concurrent small requests into fused scoring calls. The replay harness
-(:mod:`repro.serving.replay`) measures latency under open-loop load.
+The daemon keeps a picklable :class:`~repro.serving.sharding.ScoringSpec`
+snapshot of the fitted model *resident* in long-lived workers and moves
+rows and results through :class:`~repro.serving.shm_ring.ShmRing`
+shared-memory ring buffers (zero pickling on the hot path, zero-copy
+result reads), coalescing concurrent small requests into fused scoring
+calls. The replay harness (:mod:`repro.serving.replay`) measures
+latency under open-loop load.
 """
 
 from repro.serving.daemon import DaemonUnavailable, ServingDaemon
@@ -44,8 +41,6 @@ from repro.serving.executor import (
     Executor,
     FallbackChain,
     InlineExecutor,
-    ShardedExecutor,
-    StripedDaemonExecutor,
 )
 from repro.serving.pipeline import (
     EXECUTOR_PRESETS,
@@ -53,13 +48,7 @@ from repro.serving.pipeline import (
     AlertBatch,
     ScoringPipeline,
 )
-from repro.serving.sharding import (
-    ScoringSpec,
-    ShardedScorer,
-    ShardPoolUnavailable,
-    ShardResult,
-    build_scoring_spec,
-)
+from repro.serving.sharding import ScoringSpec, build_scoring_spec
 from repro.serving.shm_ring import ShmRing
 
 __all__ = [
@@ -77,11 +66,6 @@ __all__ = [
     "ScoringPipeline",
     "ScoringSpec",
     "ServingDaemon",
-    "ShardedExecutor",
-    "ShardPoolUnavailable",
-    "ShardResult",
-    "ShardedScorer",
     "ShmRing",
-    "StripedDaemonExecutor",
     "build_scoring_spec",
 ]

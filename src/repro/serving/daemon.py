@@ -1,8 +1,7 @@
 """Always-on serving daemon: resident workers over shared-memory rings.
 
-:class:`ServingDaemon` is the persistent counterpart to the per-batch
-:class:`~repro.serving.sharding.ShardedScorer`. Instead of shipping rows
-and results through the executor's pickle pipes on every call, it
+:class:`ServingDaemon` is the worker-side execution path. Instead of
+pickling rows and results per call, it
 
 - holds the picklable :class:`~repro.serving.sharding.ScoringSpec`
   *resident* in each long-lived worker process (the network is rebuilt
@@ -16,18 +15,19 @@ and results through the executor's pickle pipes on every call, it
   per worker dispatch, amortizing the per-call fixed costs (plan lookup,
   softmax/routing setup, Python dispatch) that dominate small batches.
 
-Failure taxonomy mirrors :mod:`repro.serving.sharding`:
+Failure taxonomy (shared by every executor, see
+:mod:`repro.serving.errors`):
 
 - **Infrastructure failures** — shared memory unavailable, a worker
   process dying — surface as :class:`DaemonUnavailable`. The pipeline
-  rescsores the affected batch single-process and never reports them to
+  rescores the affected batch single-process and never reports them to
   the circuit breaker. Dead workers are detected and respawned (counter
   ``serve.daemon.respawns``); only a daemon that cannot be (re)started
   at all stays down.
 - **Model faults** raised while scoring inside a worker are pickled
   back and re-raised in the caller with their original type, so the
   pipeline's breaker/fallback guardrails treat them exactly like
-  single-process or sharded faults.
+  single-process faults.
 
 Telemetry (``serve.daemon.*`` through :mod:`repro.obs`): request/row/
 dispatch/fault/respawn/fallback counters, a ``serve.daemon.request``
@@ -92,14 +92,10 @@ class _Request:
     """One submitted batch: rows in, completion event + results out."""
 
     __slots__ = ("X", "event", "scores", "routing", "error",
-                 "t_submit", "t_done", "coalesce")
+                 "t_submit", "t_done")
 
-    def __init__(self, X: np.ndarray, coalesce: bool = True):
+    def __init__(self, X: np.ndarray):
         self.X = X
-        #: ``False`` pins this request to its own dispatch — the striped
-        #: executor relies on it to spread one batch across idle workers
-        #: instead of having the dispatcher fuse the stripes back together.
-        self.coalesce = coalesce
         self.event = threading.Event()
         self.scores: Optional[np.ndarray] = None
         self.routing: Optional[np.ndarray] = None
@@ -494,13 +490,8 @@ class ServingDaemon:
         self.close()
 
     # -- client side ----------------------------------------------------
-    def submit(self, X: np.ndarray, coalesce: bool = True) -> _Request:
-        """Enqueue one batch; returns a handle with ``result(timeout)``.
-
-        ``coalesce=False`` pins the request to its own dispatch — the
-        dispatcher never fuses it with neighbours. Striped executors use
-        this to spread one batch's slices across idle workers.
-        """
+    def submit(self, X: np.ndarray) -> _Request:
+        """Enqueue one batch; returns a handle with ``result(timeout)``."""
         if not self._started or self._closing:
             raise DaemonUnavailable("daemon is not running")
         X = np.ascontiguousarray(X, dtype=np.float64)
@@ -508,7 +499,7 @@ class ServingDaemon:
             raise ValueError(
                 f"daemon expects (n, {self._n_cols}) batches; got {X.shape}"
             )
-        request = _Request(X, coalesce=coalesce)
+        request = _Request(X)
         with self._lock:
             if self._closing:
                 raise DaemonUnavailable("daemon is closing")
@@ -571,9 +562,7 @@ class ServingDaemon:
                 requests = [self._pending.popleft()]
                 rows = len(requests[0].X)
                 while (
-                    requests[0].coalesce
-                    and self._pending
-                    and self._pending[0].coalesce
+                    self._pending
                     and rows + len(self._pending[0].X) <= ceiling
                 ):
                     request = self._pending.popleft()

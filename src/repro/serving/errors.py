@@ -4,7 +4,7 @@ The serving stack distinguishes two failure families, and every
 execution path must sort its errors into exactly one of them:
 
 - :class:`ExecutorUnavailable` — an *infrastructure* problem: shared
-  memory missing, a worker process dead, a pool that cannot start. The
+  memory missing, a worker process dead, a daemon that cannot start. The
   :class:`~repro.serving.executor.FallbackChain` demotes the batch to
   the next executor and the circuit breaker is never involved.
 - Everything else raised while scoring is a *model fault*: it
@@ -12,8 +12,7 @@ execution path must sort its errors into exactly one of them:
   the breaker/degraded-fallback machinery treats it exactly like a
   single-process scoring fault.
 
-:class:`~repro.serving.daemon.DaemonUnavailable` and
-:class:`~repro.serving.sharding.ShardPoolUnavailable` subclass
+:class:`~repro.serving.daemon.DaemonUnavailable` subclasses
 :class:`ExecutorUnavailable`, so the chain encodes the infra-failure
 matrix once instead of catching per-engine exception types.
 """

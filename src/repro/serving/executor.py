@@ -1,24 +1,17 @@
-"""Unified execution layer behind :class:`~repro.serving.pipeline.ScoringPipeline`.
+"""Execution layer behind :class:`~repro.serving.pipeline.ScoringPipeline`.
 
-Serving grew three execution paths — inline ``score_batch``, the
-per-batch :class:`~repro.serving.sharding.ShardedScorer` pool, and the
-always-on :class:`~repro.serving.daemon.ServingDaemon` — and the
-pipeline used to hand-roll eligibility, fallback, and spec-update logic
-for each. This module extracts the seam:
+Serving scores a batch either inline (``model.score_batch`` in the
+calling process) or on the always-on
+:class:`~repro.serving.daemon.ServingDaemon`. This module puts both
+behind one seam:
 
 - :class:`Executor` — the protocol every execution path implements:
   ``score(X) -> (scores, routing)``, ``update_spec(spec)`` for model
-  hot-swaps, ``reset()`` for swap rollback, ``alive``/``eligible`` for
-  chain selection, ``close()``, and ``telemetry_tags()``.
-- :class:`InlineExecutor`, :class:`ShardedExecutor`,
-  :class:`DaemonExecutor` — adapters wrapping the existing engines;
-  each owns its engine's lifecycle, disable logic, and telemetry.
-- :class:`StripedDaemonExecutor` — the payoff of the seam: sharding
-  *composed with* the daemon. One large batch is split into contiguous
-  row stripes (the sharding split) submitted as pinned (non-coalescing)
-  requests across the daemon's idle workers, and merged back in input
-  order — the deterministic merge guarantee, now over shared-memory
-  rings instead of pickle pipes.
+  hot-swaps, ``reset()`` for swap rollback, ``alive`` for chain
+  selection, and ``close()``.
+- :class:`InlineExecutor`, :class:`DaemonExecutor` — adapters wrapping
+  the two engines; each owns its engine's lifecycle, disable logic, and
+  telemetry.
 - :class:`FallbackChain` — the infra-failure matrix, encoded once: an
   :class:`~repro.serving.errors.ExecutorUnavailable` raised by any
   executor demotes the batch to the next executor in the chain without
@@ -43,11 +36,7 @@ import numpy as np
 from repro.obs import ensure_telemetry
 from repro.serving.daemon import DaemonUnavailable, ServingDaemon
 from repro.serving.errors import ExecutorUnavailable
-from repro.serving.sharding import (
-    ScoringSpec,
-    ShardedScorer,
-    ShardPoolUnavailable,
-)
+from repro.serving.sharding import ScoringSpec
 
 __all__ = [
     "DaemonExecutor",
@@ -55,8 +44,6 @@ __all__ = [
     "ExecutorUnavailable",
     "FallbackChain",
     "InlineExecutor",
-    "ShardedExecutor",
-    "StripedDaemonExecutor",
 ]
 
 #: A zero-argument callable producing a fresh :class:`ScoringSpec` from
@@ -77,8 +64,6 @@ class Executor(abc.ABC):
       with their original type.
     - :attr:`alive` is ``False`` once the executor has permanently
       disabled itself; the chain then skips it without trying.
-    - :meth:`eligible` lets an executor decline individual batches
-      (e.g. sharding below its minimum row count) without going down.
     - :meth:`update_spec` pushes a new model generation into any worker
       surface; :meth:`needs_spec` reports whether one exists (so the
       swap only builds a spec when somebody will consume it).
@@ -93,9 +78,6 @@ class Executor(abc.ABC):
 
     @property
     def alive(self) -> bool:
-        return True
-
-    def eligible(self, n_rows: int) -> bool:
         return True
 
     @abc.abstractmethod
@@ -114,10 +96,6 @@ class Executor(abc.ABC):
 
     def close(self) -> None:
         """Release worker resources. Idempotent."""
-
-    def telemetry_tags(self) -> dict:
-        """Per-batch tags merged into the pipeline's ``serve.batch`` event."""
-        return {}
 
 
 class InlineExecutor(Executor):
@@ -142,119 +120,6 @@ class InlineExecutor(Executor):
         return self._model_ref().score_batch(X, strategy=self._strategy)
 
 
-class ShardedExecutor(Executor):
-    """Per-batch row sharding over a lazily built process pool.
-
-    Declines batches below ``min_rows`` (per-shard IPC cost dominates
-    there). A pool-infrastructure failure disables the executor for its
-    lifetime — one ``serve.sharding_disabled`` event, aborted-shard
-    accounting in ``serve.shards.aborted`` — and demotes the batch;
-    model faults raised inside a worker propagate raw.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        spec_factory: SpecFactory,
-        n_workers: int,
-        min_rows: int = 8192,
-        start_method: Optional[str] = None,
-        telemetry=None,
-    ):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if min_rows < 1:
-            raise ValueError("min_rows must be >= 1")
-        self._spec_factory = spec_factory
-        self.n_workers = int(n_workers)
-        self.min_rows = int(min_rows)
-        self.start_method = start_method
-        self.telemetry = ensure_telemetry(telemetry)
-        self._sharder: Optional[ShardedScorer] = None
-        self._disabled = False
-        self._last_n_shards = 0
-
-    @property
-    def alive(self) -> bool:
-        return not self._disabled
-
-    def eligible(self, n_rows: int) -> bool:
-        return n_rows >= self.min_rows
-
-    def _ensure_sharder(self) -> ShardedScorer:
-        if self._sharder is None:
-            try:
-                spec = self._spec_factory()
-            except Exception as exc:
-                # Spec extraction failed (e.g. strategy cannot calibrate):
-                # the single-process path keeps its lazier semantics, so
-                # treat this as "sharding unavailable", not a model fault.
-                raise ShardPoolUnavailable(
-                    f"cannot build scoring spec: {exc}"
-                ) from exc
-            self._sharder = ShardedScorer(
-                spec, self.n_workers, start_method=self.start_method
-            )
-        return self._sharder
-
-    def score(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        self._last_n_shards = 0
-        try:
-            result = self._ensure_sharder().score(X)
-        except ShardPoolUnavailable as exc:
-            self._disable(exc)
-            raise
-        self._last_n_shards = result.n_shards
-        if self.telemetry.enabled:
-            self.telemetry.increment("serve.shards", result.n_shards)
-            for seconds in result.shard_seconds:
-                self.telemetry.observe("serve.shard", seconds)
-        return result.scores, result.routing
-
-    def _disable(self, exc: Exception) -> None:
-        self._disabled = True
-        if self._sharder is not None:
-            self._sharder.close()
-            self._sharder = None
-        # A pool that broke *mid-batch* had already scored some shards;
-        # those rows are about to be scored again further down the
-        # chain. Record the aborted shards so the serve.shards ledger
-        # explains the double-scoring instead of hiding it.
-        aborted = getattr(exc, "n_completed_shards", 0)
-        if aborted:
-            self.telemetry.increment("serve.shards.aborted", aborted)
-        self.telemetry.increment("serve.sharding_disabled")
-        self.telemetry.record_event(
-            "serve.sharding_disabled",
-            error=type(exc).__name__,
-            detail=str(exc)[:200],
-            n_aborted_shards=int(aborted),
-        )
-
-    def needs_spec(self) -> bool:
-        return self._sharder is not None
-
-    def update_spec(self, spec: ScoringSpec) -> None:
-        if self._sharder is not None:
-            self._sharder.update_spec(spec)
-
-    def reset(self) -> None:
-        # Drop the pool; the next score lazily rebuilds it through the
-        # spec factory, which reads the pipeline's (restored) model.
-        if self._sharder is not None:
-            self._sharder.close()
-            self._sharder = None
-
-    def close(self) -> None:
-        if self._sharder is not None:
-            self._sharder.close()
-            self._sharder = None
-
-    def telemetry_tags(self) -> dict:
-        return {"n_shards": int(self._last_n_shards)}
-
-
 class DaemonExecutor(Executor):
     """Always-on serving daemon behind the executor protocol.
 
@@ -273,19 +138,9 @@ class DaemonExecutor(Executor):
         self,
         spec_factory: SpecFactory,
         daemon: Optional[ServingDaemon] = None,
-        n_workers: int = 1,
-        batch_rows: int = 8192,
-        adaptive_batch: bool = False,
-        min_batch_rows: int = 64,
         telemetry=None,
     ):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
         self._spec_factory = spec_factory
-        self.n_workers = int(n_workers)
-        self.batch_rows = int(batch_rows)
-        self.adaptive_batch = bool(adaptive_batch)
-        self.min_batch_rows = int(min_batch_rows)
         self.telemetry = ensure_telemetry(telemetry)
         self._daemon = daemon
         self._owned = False
@@ -306,20 +161,14 @@ class DaemonExecutor(Executor):
                 try:
                     spec = self._spec_factory()
                 except Exception as exc:
-                    # A spec that cannot be extracted is "daemon
-                    # unavailable", not a model fault (same reasoning as
-                    # the sharded adapter).
+                    # A spec that cannot be extracted (e.g. the strategy
+                    # cannot calibrate) is "daemon unavailable", not a
+                    # model fault: the inline path keeps its lazier
+                    # semantics further down the chain.
                     raise DaemonUnavailable(
                         f"cannot build scoring spec: {exc}"
                     ) from exc
-                self._daemon = ServingDaemon(
-                    spec,
-                    n_workers=self.n_workers,
-                    max_batch_rows=self.batch_rows,
-                    adaptive_batch=self.adaptive_batch,
-                    min_batch_rows=self.min_batch_rows,
-                    telemetry=self.telemetry,
-                )
+                self._daemon = ServingDaemon(spec, telemetry=self.telemetry)
                 self._owned = True
             if not self._daemon.alive:
                 self._daemon.start()
@@ -328,13 +177,10 @@ class DaemonExecutor(Executor):
             raise
         return self._daemon
 
-    def _score_on(self, daemon: ServingDaemon, X: np.ndarray):
-        return daemon.score(X)
-
     def score(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         daemon = self._ensure()
         try:
-            return self._score_on(daemon, X)
+            return daemon.score(X)
         except DaemonUnavailable as exc:
             # Transient (worker died mid-respawn): the chain rescores
             # this batch further down; a dead daemon stays disabled.
@@ -397,91 +243,11 @@ class DaemonExecutor(Executor):
             self._daemon = None
 
 
-class _StripedHandle:
-    """Completion handle over one batch's per-worker stripe submissions."""
-
-    __slots__ = ("handles",)
-
-    def __init__(self, handles: List):
-        self.handles = handles
-
-    def result(self, timeout: Optional[float] = None):
-        parts = [h.result(timeout) for h in self.handles]
-        if len(parts) == 1:
-            return parts[0]
-        # Stripes are contiguous input slices submitted in order, so a
-        # plain concatenation is the deterministic in-order merge.
-        return (
-            np.concatenate([s for s, _ in parts]),
-            np.concatenate([r for _, r in parts]),
-        )
-
-    @property
-    def t_done(self) -> float:
-        """Completion time of the slowest stripe (replay-bench clock)."""
-        return max(h.t_done for h in self.handles)
-
-
-class StripedDaemonExecutor(DaemonExecutor):
-    """Row striping *inside* the daemon: sharding composed with residency.
-
-    Batches of at least ``stripe_min_rows`` rows are split into
-    contiguous stripes (:meth:`ShardedScorer.shard_slices` — the same
-    split the shard pool uses) and submitted as pinned, non-coalescing
-    requests so the dispatcher hands each stripe to a different idle
-    worker; results merge back in input order. Smaller batches and
-    single-worker daemons take the plain daemon path unchanged. One
-    stripe's infrastructure failure demotes the whole batch (the chain
-    rescores it further down); one stripe's model fault propagates raw.
-    """
-
-    name = "striped_daemon"
-
-    def __init__(self, *args, stripe_min_rows: int = 1024, **kwargs):
-        super().__init__(*args, **kwargs)
-        if stripe_min_rows < 2:
-            raise ValueError("stripe_min_rows must be >= 2")
-        self.stripe_min_rows = int(stripe_min_rows)
-        self._last_n_stripes = 0
-
-    def submit(self, X: np.ndarray) -> _StripedHandle:
-        """Async entry point (replay bench): stripe + submit, no wait."""
-        daemon = self._ensure()
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if daemon.n_workers < 2 or len(X) < self.stripe_min_rows:
-            return _StripedHandle([daemon.submit(X)])
-        slices = ShardedScorer.shard_slices(len(X), daemon.n_workers)
-        handles = [daemon.submit(X[s], coalesce=False) for s in slices]
-        if self.telemetry.enabled:
-            self.telemetry.increment("serve.daemon.striped_batches")
-            self.telemetry.increment("serve.daemon.stripes", len(handles))
-        return _StripedHandle(handles)
-
-    def _score_on(self, daemon: ServingDaemon, X: np.ndarray):
-        self._last_n_stripes = 0
-        if len(np.asarray(X)) == 0 or daemon.n_workers < 2 or (
-            len(X) < self.stripe_min_rows
-        ):
-            return daemon.score(X)
-        slices = ShardedScorer.shard_slices(len(X), daemon.n_workers)
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        handles = [daemon.submit(X[s], coalesce=False) for s in slices]
-        if self.telemetry.enabled:
-            self.telemetry.increment("serve.daemon.striped_batches")
-            self.telemetry.increment("serve.daemon.stripes", len(handles))
-        result = _StripedHandle(handles).result(timeout=60.0)
-        self._last_n_stripes = len(handles)
-        return result
-
-    def telemetry_tags(self) -> dict:
-        return {"n_stripes": int(self._last_n_stripes)}
-
-
 class FallbackChain:
     """Ordered executors plus the infra-failure matrix, encoded once.
 
-    :meth:`score` walks the chain: the first executor that is alive and
-    eligible serves the batch. An :class:`ExecutorUnavailable` demotes
+    :meth:`score` walks the chain: the first executor that is alive
+    serves the batch. An :class:`ExecutorUnavailable` demotes
     the batch to the next executor — one ``serve.executor.demotions``
     count and a ``serve.executor.demoted`` event, never a circuit-
     breaker fault (whether the failure was permanent is the executor's
@@ -500,7 +266,6 @@ class FallbackChain:
         self.executors: List[Executor] = list(executors)
         self.telemetry = ensure_telemetry(telemetry)
         self.last_executor: Optional[str] = None
-        self.last_tags: dict = {}
 
     def __iter__(self):
         return iter(self.executors)
@@ -515,12 +280,11 @@ class FallbackChain:
     def begin_batch(self) -> None:
         """Clear per-batch state before a new pipeline batch."""
         self.last_executor = None
-        self.last_tags = {}
 
     def score(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         last_exc: Optional[ExecutorUnavailable] = None
         for executor in self.executors:
-            if not executor.alive or not executor.eligible(len(X)):
+            if not executor.alive:
                 continue
             try:
                 result = executor.score(X)
@@ -529,10 +293,9 @@ class FallbackChain:
                 self._record_demotion(executor, exc)
                 continue
             self.last_executor = executor.name
-            self.last_tags = executor.telemetry_tags()
             return result
         raise last_exc if last_exc is not None else ExecutorUnavailable(
-            "no executor in the chain is alive and eligible"
+            "no executor in the chain is alive"
         )
 
     def _record_demotion(self, executor: Executor, exc: Exception) -> None:

@@ -18,13 +18,12 @@ queue never silently mixes primary and fallback scores.
 
 Execution is delegated to a
 :class:`~repro.serving.executor.FallbackChain` of
-:class:`~repro.serving.executor.Executor` adapters (daemon → sharded →
-inline). The chain owns per-path eligibility, infrastructure-failure
-demotion, and the spec-push/rollback surface for model hot-swaps, so
-this module contains no executor-type-specific branches: ``process``
-scores through ``chain.score`` and ``swap_model`` pushes and rolls back
-through ``chain.push_spec`` / ``chain.reset`` regardless of which
-execution paths are configured.
+:class:`~repro.serving.executor.Executor` adapters (optional daemon,
+then inline). The chain owns infrastructure-failure demotion and the
+spec-push/rollback surface for model hot-swaps, so this module contains
+no executor-type-specific branches: ``process`` scores through
+``chain.score`` and ``swap_model`` pushes and rolls back through
+``chain.push_spec`` / ``chain.reset`` whichever path is configured.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,20 +46,15 @@ from repro.resilience.fallback import ReconstructionFallback
 from repro.resilience.sanitize import expected_width, sanitize_batch
 from repro.serving.daemon import ServingDaemon
 from repro.serving.drift import DriftMonitor, DriftReport
-from repro.serving.executor import (
-    DaemonExecutor,
-    FallbackChain,
-    InlineExecutor,
-    ShardedExecutor,
-    StripedDaemonExecutor,
-)
+from repro.serving.executor import DaemonExecutor, FallbackChain, InlineExecutor
 from repro.serving.sharding import ScoringSpec, build_scoring_spec
 
 #: Routing code for rows that were quarantined before scoring.
 ROUTE_QUARANTINED = -1
 
-#: Named chain presets accepted by the ``executor=`` knob.
-EXECUTOR_PRESETS = ("inline", "sharded", "daemon", "striped_daemon")
+#: Named chain presets accepted by the ``executor=`` argument (a started
+#: :class:`~repro.serving.daemon.ServingDaemon` instance is the third form).
+EXECUTOR_PRESETS = ("inline", "daemon")
 
 
 @dataclass
@@ -155,63 +149,24 @@ class ScoringPipeline:
         counts, and a drift-event counter — plus the ``resilience.*``
         series (quarantine counts, scoring faults, breaker transitions,
         degraded batches). Executors additionally record their own
-        series (``serve.shard``/``serve.shards``, ``serve.daemon.*``,
-        ``serve.executor.demotions``) and the pipeline mirrors the
+        series (``serve.daemon.*``, ``serve.executor.demotions``), each
+        ``serve.batch`` event carries the batch's tri-class route mix
+        (``n_normal`` / ``n_target`` / ``n_nontarget``, which with
+        ``n_quarantined`` sum to ``n``), and the pipeline mirrors the
         ``serve.plan_cache.*`` hit/miss/invalidation deltas observed
         around each batch. ``None`` = no-op.
     executor:
-        Named chain preset, the front door to the execution layer:
-        ``"inline"`` (single-process only), ``"sharded"`` (per-batch
-        shard pool, ``shard_workers`` or 2), ``"daemon"`` (always-on
-        worker daemon), or ``"striped_daemon"`` (daemon with large
-        batches striped across idle workers). ``None`` (default) derives
-        the chain from the ``daemon``/``shard_workers`` knobs below.
-        Whatever the preset, the chain always ends in the inline
-        executor, so scoring survives any infrastructure failure.
-    shard_workers:
-        Number of worker processes for row-sharded scoring; ``0``
-        (default) keeps scoring single-process. Batches with at least
-        ``min_shard_rows`` sanitized rows are split into contiguous
-        shards scored in parallel (see :mod:`repro.serving.sharding`)
-        and merged in input order — output is identical to the
-        single-process path. If the pool cannot be created or breaks
-        down, its executor disables itself for the pipeline's lifetime
-        and the batch demotes down the chain (never counted as a scorer
-        fault by the circuit breaker).
-    min_shard_rows:
-        Smallest batch worth sharding; below it the per-shard IPC cost
-        dominates and the single-process fast path wins.
-    shard_start_method:
-        Multiprocessing start method for the pool (``None`` prefers
-        ``"fork"`` when available).
-    daemon:
-        Opt-in always-on serving daemon
-        (:class:`~repro.serving.daemon.ServingDaemon`). ``True`` builds
-        one lazily from this pipeline's model (``daemon_workers``
-        workers, shared-memory ring transport, micro-batching); a
-        pre-started instance is used as-is (and then *not* closed by
-        :meth:`close` — the caller owns its lifecycle, e.g. when several
-        pipelines share one daemon). When the daemon cannot start
-        (shared memory unavailable) its executor disables itself and the
-        chain serves without it; a transiently unavailable daemon
-        (worker crash mid-respawn) demotes that batch only. Neither
-        counts as a scorer fault to the circuit breaker — worker *model*
-        faults do, exactly like sharded faults.
-    daemon_workers:
-        Worker processes for an auto-built daemon.
-    daemon_batch_rows:
-        Micro-batching ceiling for the auto-built daemon.
-    adaptive_batch:
-        Tune the daemon's coalescing ceiling per dispatch from its
-        admission queue (rows queued / idle workers, clamped to
-        ``[daemon_min_batch_rows, daemon_batch_rows]``) instead of
-        always fusing up to the fixed ceiling.
-    daemon_min_batch_rows:
-        Adaptive-mode floor for the coalescing ceiling.
-    stripe_min_rows:
-        ``executor="striped_daemon"`` only: smallest batch worth
-        splitting across idle daemon workers; smaller batches take the
-        plain daemon path.
+        Where scoring runs. ``"inline"`` (default) scores in the calling
+        process. ``"daemon"`` lazily starts an owned
+        :class:`~repro.serving.daemon.ServingDaemon` (its own defaults;
+        shared-memory ring transport, micro-batching) that :meth:`close`
+        shuts down. A started ``ServingDaemon`` instance is used as-is
+        and left running by :meth:`close` — the caller owns its
+        lifecycle, e.g. to tune its workers and batching or to share one
+        daemon between pipelines. Whatever the form, the chain ends in
+        the inline executor: a daemon that cannot start or dies demotes
+        batches to inline scoring, never counted as a scorer fault by
+        the circuit breaker; worker *model* faults are.
     """
 
     def __init__(
@@ -226,16 +181,7 @@ class ScoringPipeline:
         circuit_breaker: Optional[CircuitBreaker] = None,
         fallback: Optional[ReconstructionFallback] = None,
         telemetry=None,
-        executor: Optional[str] = None,
-        shard_workers: int = 0,
-        min_shard_rows: int = 8192,
-        shard_start_method: Optional[str] = None,
-        daemon=None,
-        daemon_workers: int = 1,
-        daemon_batch_rows: int = 8192,
-        adaptive_batch: bool = False,
-        daemon_min_batch_rows: int = 64,
-        stripe_min_rows: int = 1024,
+        executor: Union[str, ServingDaemon] = "inline",
     ):
         if policy not in ("f1", "recall", "budget"):
             raise ValueError('policy must be "f1", "recall", or "budget"')
@@ -263,26 +209,14 @@ class ScoringPipeline:
             else CircuitBreaker(telemetry=self.telemetry, name="serve")
         )
         self.fallback = fallback
-        if executor is not None and executor not in EXECUTOR_PRESETS:
+        if not isinstance(executor, ServingDaemon) and (
+            executor not in EXECUTOR_PRESETS
+        ):
             raise ValueError(
-                f"executor must be one of {EXECUTOR_PRESETS}; got {executor!r}"
+                'executor must be "inline", "daemon", or a started '
+                f"ServingDaemon; got {executor!r}"
             )
-        if shard_workers < 0:
-            raise ValueError("shard_workers must be >= 0")
-        if min_shard_rows < 1:
-            raise ValueError("min_shard_rows must be >= 1")
-        if daemon_workers < 1:
-            raise ValueError("daemon_workers must be >= 1")
-        self.executor = executor
-        self.shard_workers = int(shard_workers)
-        self.min_shard_rows = int(min_shard_rows)
-        self.shard_start_method = shard_start_method
-        self.daemon_workers = int(daemon_workers)
-        self.daemon_batch_rows = int(daemon_batch_rows)
-        self.adaptive_batch = bool(adaptive_batch)
-        self.daemon_min_batch_rows = int(daemon_min_batch_rows)
-        self.stripe_min_rows = int(stripe_min_rows)
-        self.chain = self._build_chain(daemon, executor)
+        self.chain = self._build_chain(executor)
         #: Model-generation counter; bumped by each successful hot swap.
         self.generation = 0
         # Serializes process() against swap_model(): a batch always sees
@@ -296,137 +230,16 @@ class ScoringPipeline:
         """Spec for worker executors, always from the *current* model."""
         return build_scoring_spec(self.model, self.strategy)
 
-    def _build_chain(self, daemon, preset: Optional[str]) -> FallbackChain:
-        """Assemble the executor chain: daemon → sharded → inline.
-
-        With ``preset=None`` the chain is derived from the legacy
-        ``daemon``/``shard_workers`` knobs; a named preset pins the top
-        of the chain explicitly (``"sharded"`` defaults to two workers
-        when ``shard_workers`` was left at 0). The inline executor is
-        always the terminal member.
-        """
-        want_daemon = bool(daemon) or preset in ("daemon", "striped_daemon")
-        shard_workers = self.shard_workers
-        if preset == "sharded" and shard_workers == 0:
-            shard_workers = self.shard_workers = 2
-        if preset == "inline":
-            want_daemon = False
-            shard_workers = 0
+    def _build_chain(self, executor: Union[str, ServingDaemon]) -> FallbackChain:
+        """Assemble the executor chain: optional daemon, then inline."""
         executors = []
-        if want_daemon:
-            daemon_cls = (
-                StripedDaemonExecutor
-                if preset == "striped_daemon"
-                else DaemonExecutor
-            )
-            kwargs = dict(
-                daemon=daemon if isinstance(daemon, ServingDaemon) else None,
-                n_workers=self.daemon_workers,
-                batch_rows=self.daemon_batch_rows,
-                adaptive_batch=self.adaptive_batch,
-                min_batch_rows=self.daemon_min_batch_rows,
-                telemetry=self.telemetry,
-            )
-            if daemon_cls is StripedDaemonExecutor:
-                kwargs["stripe_min_rows"] = self.stripe_min_rows
-            executors.append(daemon_cls(self._spec_factory, **kwargs))
-        if shard_workers > 0:
-            executors.append(
-                ShardedExecutor(
-                    self._spec_factory,
-                    shard_workers,
-                    min_rows=self.min_shard_rows,
-                    start_method=self.shard_start_method,
-                    telemetry=self.telemetry,
-                )
-            )
+        if executor != "inline":
+            daemon = executor if isinstance(executor, ServingDaemon) else None
+            executors.append(DaemonExecutor(
+                self._spec_factory, daemon=daemon, telemetry=self.telemetry
+            ))
         executors.append(InlineExecutor(lambda: self.model, self.strategy))
         return FallbackChain(executors, telemetry=self.telemetry)
-
-    # -- executor-internals compatibility surface -------------------------
-    # Long-standing private attributes, kept as properties over the chain
-    # so operational tooling (and the serving test-suite) that pokes at
-    # daemon/sharder internals keeps working after the executor refactor.
-    @property
-    def _daemon_exec(self) -> Optional[DaemonExecutor]:
-        return self.chain.find(DaemonExecutor)
-
-    @property
-    def _shard_exec(self) -> Optional[ShardedExecutor]:
-        return self.chain.find(ShardedExecutor)
-
-    @property
-    def _daemon(self) -> Optional[ServingDaemon]:
-        ex = self._daemon_exec
-        return ex.daemon if ex is not None else None
-
-    @_daemon.setter
-    def _daemon(self, value: Optional[ServingDaemon]) -> None:
-        ex = self._daemon_exec
-        if ex is None:
-            ex = DaemonExecutor(
-                self._spec_factory,
-                daemon=value,
-                n_workers=self.daemon_workers,
-                batch_rows=self.daemon_batch_rows,
-                telemetry=self.telemetry,
-            )
-            self.chain.executors.insert(0, ex)
-            return
-        if ex._owned and ex._daemon is not None and ex._daemon is not value:
-            ex._daemon.close()
-        ex._daemon = value
-        ex._owned = False
-
-    @property
-    def _daemon_owned(self) -> bool:
-        ex = self._daemon_exec
-        return ex is not None and ex._owned
-
-    @_daemon_owned.setter
-    def _daemon_owned(self, value: bool) -> None:
-        ex = self._daemon_exec
-        if ex is not None:
-            ex._owned = bool(value)
-
-    @property
-    def _daemon_enabled(self) -> bool:
-        return self._daemon_exec is not None
-
-    @property
-    def _daemon_disabled(self) -> bool:
-        ex = self._daemon_exec
-        return ex is not None and not ex.alive
-
-    @property
-    def _sharder(self):
-        ex = self._shard_exec
-        return ex._sharder if ex is not None else None
-
-    @_sharder.setter
-    def _sharder(self, value) -> None:
-        ex = self._shard_exec
-        if ex is None:
-            ex = ShardedExecutor(
-                self._spec_factory,
-                getattr(value, "n_workers", 1) or 1,
-                min_rows=self.min_shard_rows,
-                start_method=self.shard_start_method,
-                telemetry=self.telemetry,
-            )
-            self.chain.executors.insert(len(self.chain.executors) - 1, ex)
-        elif ex._sharder is not None and ex._sharder is not value:
-            ex._sharder.close()
-        ex._sharder = value
-
-    @property
-    def _sharding_disabled(self) -> bool:
-        ex = self._shard_exec
-        return ex is not None and not ex.alive
-
-    @property
-    def _last_n_shards(self) -> int:
-        return int(self.chain.last_tags.get("n_shards", 0))
 
     def calibrate(
         self,
@@ -511,7 +324,7 @@ class ScoringPipeline:
         2. **Flip** (under the swap lock, so no batch ever sees a
            half-swapped pipeline): push the new spec through the
            executor chain into every live worker surface (the daemon's
-           rolling respawn, the shard pool's lazy rebuild), then swap
+           rolling respawn), then swap
            the model / threshold / monitor / fallback pointers and bump
            ``generation``. The retired network's cached inference plan
            is evicted.
@@ -792,15 +605,14 @@ class ScoringPipeline:
             n_alerts=batch.n_alerts,
             n_deferred=len(batch.deferred),
             n_quarantined=int(len(batch.quarantined)),
+            n_normal=int(np.count_nonzero(batch.routing == KIND_NORMAL)),
+            n_target=int(np.count_nonzero(batch.routing == KIND_TARGET)),
+            n_nontarget=int(len(batch.deferred)),
             executor=self.chain.last_executor or "none",
-            n_shards=int(self.chain.last_tags.get("n_shards", 0)),
             degraded=batch.degraded,
             latency_ms=seconds * 1e3,
             drifted=drifted,
         )
-        n_stripes = int(self.chain.last_tags.get("n_stripes", 0))
-        if n_stripes:
-            event_fields["n_stripes"] = n_stripes
         if drifted:
             event_fields["drift"] = batch.drift.to_dict()
         self.telemetry.record_event("serve.batch", **event_fields)

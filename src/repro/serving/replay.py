@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -178,7 +178,6 @@ def replay_daemon(
     schedule: Sequence[ReplayRequest],
     X_pool: np.ndarray,
     daemon,
-    mode: Optional[str] = None,
     timeout: float = 120.0,
 ) -> ReplayResult:
     """Replay against a :class:`ServingDaemon` via async ``submit``.
@@ -204,7 +203,7 @@ def replay_daemon(
         latencies[i] = (handle.t_done - t0) - request.arrival_s
         t_last = max(t_last, handle.t_done)
     return ReplayResult(
-        workload=spec.name, mode=mode or "daemon", n_requests=len(schedule),
+        workload=spec.name, mode="daemon", n_requests=len(schedule),
         n_rows=n_rows, offered_rps=spec.rate_rps, makespan_s=t_last - t0,
         latencies_s=latencies,
     )

@@ -1,73 +1,36 @@
-"""Multi-process batch sharding for the serving fast path.
+"""Picklable scoring snapshot shared by every worker-side execution path.
 
-Large serving batches are BLAS-bound single-threaded work; this module
-shards them row-wise across a worker pool. Each worker receives a
-:class:`ScoringSpec` — a picklable snapshot of the fitted TargAD's dense
-weights, activation names, the (m, k) head split, and the *calibrated*
-OOD strategy — rebuilds the network once at pool start, and scores its
-contiguous row slice on the same compiled inference path the parent
-uses (:func:`repro.nn.train.forward_in_batches` +
-:func:`repro.core.scoring.route_from_logits`). Because workers execute
-the exact functions the single-process path executes, on identical
-float64 inputs the merged scores and routing are identical to
-``model.score_batch`` — sharding changes *where* rows are scored, never
-*how*.
+:class:`ScoringSpec` captures what a worker process needs to score rows
+exactly like ``TargAD.score_batch``: the fitted network's dense weights
+and activation names, the (m, k) head split, the *calibrated* OOD
+strategy, and the name of the execution backend it was built under.
+:func:`build_scoring_spec` extracts one from a fitted model.
 
-Shards are contiguous row slices merged back in input order, so results
-are deterministic regardless of worker scheduling.
-
-Failure taxonomy (the pipeline depends on this split):
-
-- **Pool infrastructure failures** — the start method is unavailable,
-  the spec cannot be pickled, a worker process dies — raise
-  :class:`ShardPoolUnavailable`. The pipeline catches it, disables
-  sharding, and rescores single-process: an infrastructure problem must
-  never look like a model fault to the circuit breaker.
-- **Model faults inside a worker** (an exception raised while scoring)
-  propagate as the original exception type, exactly as they would from
-  a single-process ``score_batch`` call — the pipeline's guardrails
-  then report the fault to the breaker and fall back to the degraded
-  scorer, same as ever.
+The :class:`~repro.serving.daemon.ServingDaemon` holds a spec resident
+in each worker, and the pipeline's hot-swap pushes a fresh one through
+:meth:`~repro.serving.executor.Executor.update_spec`. Workers run the
+same forward functions the single-process path runs
+(:func:`repro.nn.train.forward_in_batches` +
+:func:`repro.core.scoring.route_from_logits`), so on identical float64
+inputs their scores and routing are identical to ``model.score_batch``.
 """
 
 from __future__ import annotations
 
 import copy
-import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.scoring import route_from_logits, softmax, target_anomaly_score
 from repro.nn.layers import Activation, Dense, Sequential
 from repro.nn.train import forward_in_batches
-from repro.serving.errors import ExecutorUnavailable
-
-
-class ShardPoolUnavailable(ExecutorUnavailable):
-    """The shard worker pool cannot be created or has broken down.
-
-    Signals an *infrastructure* problem (start method, pickling, dead
-    worker processes) as opposed to a model fault; callers should fall
-    back to single-process scoring rather than tripping the circuit
-    breaker.
-
-    ``n_completed_shards`` counts shards whose results had already
-    arrived when the pool broke mid-batch. Those rows get scored *again*
-    on the single-process rescore path — callers use the count to record
-    the aborted work (``serve.shards.aborted``) so the telemetry ledger
-    explains the double-scoring instead of silently dropping it.
-    """
-
-    def __init__(self, message: str, n_completed_shards: int = 0):
-        super().__init__(message)
-        self.n_completed_shards = int(n_completed_shards)
 
 
 @dataclass
 class ScoringSpec:
-    """Picklable snapshot of everything a shard worker needs.
+    """Picklable snapshot of everything a scoring worker needs.
 
     ``layers`` is the flattened network: ``("dense", weight, bias)``
     entries (float64 arrays; ``bias`` may be ``None``) interleaved with
@@ -126,11 +89,11 @@ def build_scoring_spec(model, strategy: str = "ed") -> ScoringSpec:
 
     Calibrates the named OOD strategy eagerly (the parent process holds
     the calibration logits; workers only get the fitted result) and
-    deep-copies it so later refits in the parent cannot race the pool.
+    deep-copies it so later refits in the parent cannot race the workers.
     Raises whatever ``model._get_strategy`` raises when calibration is
-    impossible (e.g. no candidates) — callers treat that as "sharding
-    unavailable", since the single-process path defers that failure
-    until an anomalous row actually appears.
+    impossible (e.g. no candidates) — callers treat that as "worker
+    executor unavailable", since the single-process path defers that
+    failure until an anomalous row actually appears.
     """
     from repro.backend import active_backend
     from repro.nn.inference import NotCompilableError, _collect
@@ -158,164 +121,3 @@ def build_scoring_spec(model, strategy: str = "ed") -> ScoringSpec:
         strategy=fitted,
         backend=getattr(active_backend(), "name", "numpy"),
     )
-
-
-# -- worker side --------------------------------------------------------
-# One spec + rebuilt network per worker process, installed by the pool
-# initializer. The network is built once; the compiled plan it implies
-# is cached by the weight-keyed plan cache across shard calls.
-_WORKER_SPEC: Optional[ScoringSpec] = None
-_WORKER_NETWORK: Optional[Sequential] = None
-
-
-def _init_worker(spec: ScoringSpec) -> None:
-    global _WORKER_SPEC, _WORKER_NETWORK
-    _WORKER_SPEC = spec
-    _WORKER_NETWORK = spec.build_network()
-
-
-def _score_shard(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Score one shard; returns ``(scores, routing, seconds)``."""
-    start = time.perf_counter()
-    scores, routing = _WORKER_SPEC.score(_WORKER_NETWORK, X)
-    return scores, routing, time.perf_counter() - start
-
-
-@dataclass
-class ShardResult:
-    """Merged scoring output plus per-shard wall times (telemetry)."""
-
-    scores: np.ndarray
-    routing: np.ndarray
-    shard_seconds: List[float] = field(default_factory=list)
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shard_seconds)
-
-
-class ShardedScorer:
-    """Row-sharded scoring over a lazily created process pool.
-
-    Parameters
-    ----------
-    spec:
-        The :class:`ScoringSpec` every worker is initialized with.
-    n_workers:
-        Pool size; batches are split into at most this many contiguous
-        shards.
-    start_method:
-        Multiprocessing start method. ``None`` prefers ``"fork"`` when
-        available (workers inherit loaded modules; spec transfer is
-        cheap) and otherwise uses the platform default.
-    """
-
-    def __init__(
-        self,
-        spec: ScoringSpec,
-        n_workers: int,
-        start_method: Optional[str] = None,
-    ):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.spec = spec
-        self.n_workers = int(n_workers)
-        self.start_method = start_method
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is not None:
-            return self._pool
-        try:
-            import multiprocessing as mp
-            from concurrent.futures import ProcessPoolExecutor
-
-            method = self.start_method
-            if method is None and "fork" in mp.get_all_start_methods():
-                method = "fork"
-            context = mp.get_context(method)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(self.spec,),
-            )
-        except Exception as exc:
-            raise ShardPoolUnavailable(
-                f"cannot create shard worker pool: {exc}"
-            ) from exc
-        return self._pool
-
-    @staticmethod
-    def shard_slices(n: int, n_shards: int) -> List[slice]:
-        """Contiguous row slices covering ``range(n)``; no empty shards."""
-        n_shards = max(min(n_shards, n), 1)
-        bounds = np.linspace(0, n, n_shards + 1, dtype=np.int64)
-        return [
-            slice(int(bounds[i]), int(bounds[i + 1]))
-            for i in range(n_shards)
-            if bounds[i + 1] > bounds[i]
-        ]
-
-    def score(self, X: np.ndarray) -> ShardResult:
-        """Shard ``X`` across the pool; merge results in input order.
-
-        Raises :class:`ShardPoolUnavailable` for pool-infrastructure
-        failures; worker-side scoring exceptions propagate with their
-        original type (a model fault, handled by the caller's
-        guardrails).
-        """
-        from concurrent.futures.process import BrokenProcessPool
-
-        X = np.asarray(X, dtype=np.float64)
-        if len(X) == 0:
-            return ShardResult(
-                np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-            )
-        pool = self._ensure_pool()
-        slices = self.shard_slices(len(X), self.n_workers)
-        results = []
-        try:
-            futures = [pool.submit(_score_shard, X[s]) for s in slices]
-            for future in futures:
-                results.append(future.result())
-        except BrokenProcessPool as exc:
-            self.close()
-            # results collected so far are discarded — the caller rescores
-            # the whole batch single-process; n_completed_shards lets it
-            # account for the aborted (now double-scored) work.
-            raise ShardPoolUnavailable(
-                f"shard worker pool broke down after {len(results)} of "
-                f"{len(slices)} shard(s): {exc}",
-                n_completed_shards=len(results),
-            ) from exc
-        scores = np.concatenate([r[0] for r in results])
-        routing = np.concatenate([r[1] for r in results])
-        return ShardResult(scores, routing, [float(r[2]) for r in results])
-
-    def update_spec(self, new_spec: ScoringSpec) -> None:
-        """Swap the spec; the pool is rebuilt lazily on the next score.
-
-        Workers are initialized with the spec at pool-start, so a hot
-        model swap closes the current pool (after in-flight batches —
-        ``score`` is synchronous, so by the time a swap runs under the
-        pipeline's swap lock nothing is mid-flight) and lets
-        ``_ensure_pool`` recreate it from ``new_spec`` on demand.
-        """
-        self.spec = new_spec
-        self.close()
-
-    def close(self) -> None:
-        """Shut the pool down; a later :meth:`score` recreates it."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            # wait=True: tearing the pipes down mid-flight leaves the
-            # executor's management thread to die noisily at interpreter
-            # exit; a clean join is near-instant here.
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "ShardedScorer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -21,6 +21,9 @@ from repro.resilience import (
     corrupt_rows,
 )
 from repro.serving import ROUTE_QUARANTINED, ScoringPipeline
+from repro.serving.daemon import ServingDaemon
+from repro.serving.executor import DaemonExecutor
+from repro.serving.sharding import build_scoring_spec
 
 pytestmark = pytest.mark.chaos
 
@@ -266,14 +269,15 @@ class TestSwapChaos:
             donor=model, epochs=2,
         )
         registry = TelemetryRegistry()
-        pipe = ScoringPipeline(model, policy="f1", daemon=True,
-                               daemon_workers=2, monitor_drift=False,
-                               telemetry=registry)
+        daemon = ServingDaemon(build_scoring_spec(model, "ed"), n_workers=2,
+                               telemetry=registry).start()
+        pipe = ScoringPipeline(model, policy="f1", executor=daemon,
+                               monitor_drift=False, telemetry=registry)
         pipe.calibrate(split.X_val, split.y_val_binary)
         X = split.X_test[:96]
         try:
-            before = pipe.process(X)  # starts the daemon
-            assert pipe._daemon is not None and pipe._daemon.alive
+            before = pipe.process(X)
+            assert pipe.chain.last_executor == "daemon"
 
             results, errors = [], []
             stop = threading.Event()
@@ -308,7 +312,9 @@ class TestSwapChaos:
             after = pipe.process(X)
             np.testing.assert_array_equal(after.scores, before.scores)
             np.testing.assert_array_equal(after.routing, before.routing)
+            assert pipe.chain.find(DaemonExecutor).alive and daemon.alive
             assert registry.counters.get("resilience.breaker.trips", 0) == 0
             assert pipe.circuit_breaker.state == "closed"
         finally:
             pipe.close()
+            daemon.close()

@@ -1,13 +1,17 @@
 """Serving daemon: parity, micro-batching, failure taxonomy, respawn.
 
-The contract under test mirrors ``test_sharding.py`` one level up: a
-daemon-backed ``ScoringPipeline.process`` is *bitwise identical* to the
+The contract under test: the ``ScoringSpec`` pickle round-trip that
+carries a fitted model into worker processes reproduces
+``model.score_batch`` exactly, and a daemon-backed
+``ScoringPipeline.process`` is *bitwise identical* to the
 single-process pipeline (scores, routing, alert order, quarantine,
 degraded-fallback batches), worker model faults flow through the
 circuit-breaker guardrails with their original exception type, daemon
 infrastructure failures fall back to single-process scoring without
 touching the breaker, and a killed worker is detected and respawned.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from repro.obs import TelemetryRegistry
 from repro.resilience import CircuitBreaker, ManualClock
 from repro.serving import ScoringPipeline
 from repro.serving.daemon import DaemonUnavailable, ServingDaemon
+from repro.serving.executor import DaemonExecutor
 from repro.serving.replay import ReplaySpec, build_schedule, replay_daemon
 from repro.serving.sharding import ScoringSpec, build_scoring_spec
 
@@ -56,6 +61,24 @@ def make_pipeline(model, split, **kwargs):
                            monitor_drift=False, **kwargs)
     pipe.calibrate(split.X_val)
     return pipe
+
+
+class TestScoringSpec:
+    def test_pickle_roundtrip_matches_score_batch(self, fitted):
+        model, split = fitted
+        spec = pickle.loads(pickle.dumps(build_scoring_spec(model, "ed")))
+        scores, routing = spec.score(spec.build_network(), split.X_test)
+        expected_scores, expected_routing = model.score_batch(
+            split.X_test, strategy="ed"
+        )
+        np.testing.assert_array_equal(scores, expected_scores)
+        np.testing.assert_array_equal(routing, expected_routing)
+
+    def test_spec_carries_calibrated_strategy(self, fitted):
+        model, _ = fitted
+        spec = build_scoring_spec(model, "msp")
+        assert spec.strategy.threshold_ is not None
+        assert spec.strategy is not model._get_strategy("msp")
 
 
 class TestDaemonScoring:
@@ -174,12 +197,14 @@ class TestDaemonPipeline:
         """Full-pipeline parity incl. quarantine routing + alert order."""
         model, split = fitted
         single = make_pipeline(model, split)
-        piped = make_pipeline(model, split, daemon=True)
+        piped = make_pipeline(model, split, executor="daemon")
         X = split.X_test.copy()
         X[3, 0] = np.nan  # quarantine path must survive the daemon
         expected = single.process(X)
         got = piped.process(X)
-        assert piped._daemon is not None and piped._daemon.alive
+        owned = piped.chain.find(DaemonExecutor).daemon
+        assert owned is not None and owned.alive
+        assert piped.chain.last_executor == "daemon"
         piped.close()
         np.testing.assert_array_equal(got.scores, expected.scores)
         np.testing.assert_array_equal(got.routing, expected.routing)
@@ -191,7 +216,7 @@ class TestDaemonPipeline:
     def test_shared_daemon_is_not_closed_by_pipeline(self, fitted, daemon):
         """A caller-owned daemon instance outlives the pipeline."""
         model, split = fitted
-        pipe = make_pipeline(model, split, daemon=daemon)
+        pipe = make_pipeline(model, split, executor=daemon)
         batch = pipe.process(split.X_test)
         pipe.close()
         assert daemon.alive  # caller owns the lifecycle
@@ -209,24 +234,24 @@ class TestDaemonPipeline:
         breaker = CircuitBreaker(failure_threshold=2, cooldown=60.0,
                                  clock=ManualClock(), telemetry=telemetry,
                                  name="serve")
-        pipe = make_pipeline(model, split, daemon=True, telemetry=telemetry,
-                             circuit_breaker=breaker)
-        pipe._daemon = ServingDaemon(_faulty_spec(model),
-                                     telemetry=telemetry).start()
-        pipe._daemon_owned = True
-
-        first = pipe.process(split.X_test)
-        assert first.degraded and breaker.state == "closed"
-        second = pipe.process(split.X_test)
-        assert second.degraded and breaker.state == "open"
-        # Open breaker: the third batch never reaches the daemon.
-        faults_before = telemetry.counters["serve.daemon.faults"]
-        third = pipe.process(split.X_test)
-        pipe.close()
+        faulty = ServingDaemon(_faulty_spec(model), telemetry=telemetry).start()
+        try:
+            pipe = make_pipeline(model, split, executor=faulty,
+                                 telemetry=telemetry, circuit_breaker=breaker)
+            first = pipe.process(split.X_test)
+            assert first.degraded and breaker.state == "closed"
+            second = pipe.process(split.X_test)
+            assert second.degraded and breaker.state == "open"
+            # Open breaker: the third batch never reaches the daemon.
+            faults_before = telemetry.counters["serve.daemon.faults"]
+            third = pipe.process(split.X_test)
+            pipe.close()
+        finally:
+            faulty.close()
         assert third.degraded
         assert telemetry.counters["serve.daemon.faults"] == faults_before
         assert telemetry.counters["resilience.scoring_faults"] == 2
-        assert not pipe._daemon_disabled
+        assert pipe.chain.find(DaemonExecutor).alive
         assert "serve.daemon.fallbacks" not in telemetry.counters
 
     def test_degraded_batches_identical_to_single_process(self, fitted):
@@ -240,11 +265,10 @@ class TestDaemonPipeline:
         expected = single.process(split.X_test)
         assert expected.degraded
 
-        piped = make_pipeline(model, split, daemon=True)
-        piped._daemon = ServingDaemon(_faulty_spec(model)).start()
-        piped._daemon_owned = True
-        got = piped.process(split.X_test)
-        piped.close()
+        with ServingDaemon(_faulty_spec(model)) as faulty:
+            piped = make_pipeline(model, split, executor=faulty)
+            got = piped.process(split.X_test)
+            piped.close()
         assert got.degraded
         np.testing.assert_array_equal(got.scores, expected.scores)
         np.testing.assert_array_equal(got.routing, expected.routing)
@@ -260,9 +284,9 @@ class TestDaemonPipeline:
 
         dead = ServingDaemon(build_scoring_spec(model, "ed")).start()
         dead.close()
-        pipe = make_pipeline(model, split, daemon=dead, telemetry=telemetry)
+        pipe = make_pipeline(model, split, executor=dead, telemetry=telemetry)
         got = pipe.process(split.X_test)
-        assert pipe._daemon_disabled
+        assert not pipe.chain.find(DaemonExecutor).alive
         assert not got.degraded
         assert pipe.circuit_breaker.state == "closed"
         np.testing.assert_array_equal(got.scores, expected.scores)
@@ -304,3 +328,50 @@ class TestReplaySmoke:
         assert snap["p99_ms"] >= snap["p50_ms"] > 0
         assert snap["respawns"] == 0
         assert telemetry.counters.get("serve.daemon.desyncs", 0) == 0
+
+
+@pytest.fixture(scope="module")
+def taxonomy_fitted():
+    """A model trained on a taxonomy-injected split (cross-family config)."""
+    from repro.data import attach_taxonomy
+    from repro.data.splits import build_split
+    from tests.conftest import TINY_SPEC, make_tiny_generator
+
+    generator = attach_taxonomy(
+        make_tiny_generator(0), ["calculation", "local"],
+        target_families=["calculation"], random_state=0,
+    )
+    split = build_split(
+        generator, TINY_SPEC, scale=1.0, random_state=0,
+        target_families=["tax:calculation"],
+        train_nontarget_families=["tax:local"],
+    )
+    model = TargAD(TargADConfig(random_state=0, k=2, ae_lr=3e-3, ae_epochs=15,
+                                clf_epochs=20))
+    model.fit(split.X_unlabeled, split.X_labeled, split.y_labeled)
+    return model, split
+
+
+@pytest.mark.taxonomy
+class TestTaxonomyDaemon:
+    def test_taxonomy_rows_route_identically_on_daemon(self, taxonomy_fitted):
+        """Taxonomy-injected rows served by a caller-owned 2-worker daemon
+        route and score exactly like the single-process pipeline."""
+        model, split = taxonomy_fitted
+        single = make_pipeline(model, split)
+        X = split.X_test.copy()
+        X[5, 1] = np.nan  # quarantine path rides along
+        expected = single.process(X)
+        with ServingDaemon(build_scoring_spec(model, "ed"),
+                           n_workers=2) as daemon:
+            piped = make_pipeline(model, split, executor=daemon)
+            got = piped.process(X)
+            piped.close()
+            assert daemon.alive
+        assert piped.chain.last_executor == "daemon"
+        np.testing.assert_array_equal(got.scores, expected.scores)
+        np.testing.assert_array_equal(got.routing, expected.routing)
+        np.testing.assert_array_equal(got.alerts, expected.alerts)
+        np.testing.assert_array_equal(got.deferred, expected.deferred)
+        np.testing.assert_array_equal(got.quarantined, expected.quarantined)
+        assert not (got.degraded or expected.degraded)

@@ -9,8 +9,10 @@ breaker/fallback guardrails, ``update_spec`` makes a new generation
 visible to live worker surfaces, and ``close()`` is idempotent. This
 module pins that contract once, parametrized over all executors, so a
 new execution path only has to join the parametrization to be held to
-the same bar.
+the same bar. The daemon cases run on a real 2-worker daemon.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -24,14 +26,12 @@ from repro.serving.executor import (
     Executor,
     FallbackChain,
     InlineExecutor,
-    ShardedExecutor,
-    StripedDaemonExecutor,
 )
 from repro.serving.daemon import ServingDaemon
 from repro.serving.sharding import build_scoring_spec
 
-EXECUTOR_KINDS = ["inline", "sharded", "daemon", "striped_daemon"]
-WORKER_KINDS = ["sharded", "daemon", "striped_daemon"]
+EXECUTOR_KINDS = ["inline", "daemon"]
+WORKER_KINDS = ["daemon"]
 
 
 @pytest.fixture(scope="module")
@@ -56,28 +56,43 @@ def model_b(fitted):
     return other
 
 
-def make_executor(kind, spec_factory, model_ref, telemetry=None):
-    """Build one executor of ``kind`` with worker counts fit for CI."""
+@contextlib.contextmanager
+def executor_of(kind, model):
+    """One executor of ``kind`` scoring ``model``; daemons get 2 workers."""
+    spec_factory = lambda: build_scoring_spec(model, "ed")  # noqa: E731
     if kind == "inline":
-        return InlineExecutor(model_ref, "ed")
-    if kind == "sharded":
-        return ShardedExecutor(spec_factory, 2, min_rows=1,
-                               telemetry=telemetry)
-    if kind == "daemon":
-        return DaemonExecutor(spec_factory, n_workers=2, telemetry=telemetry)
-    assert kind == "striped_daemon"
-    return StripedDaemonExecutor(spec_factory, n_workers=2, stripe_min_rows=8,
-                                 telemetry=telemetry)
+        executor = InlineExecutor(lambda: model, "ed")
+        yield executor
+        executor.close()
+        return
+    assert kind == "daemon"
+    with ServingDaemon(spec_factory(), n_workers=2) as daemon:
+        executor = DaemonExecutor(spec_factory, daemon=daemon)
+        yield executor
+        executor.close()
 
 
-def make_pipeline(model, split, preset, **kwargs):
+def make_pipeline(model, split, executor="inline", **kwargs):
     pipe = ScoringPipeline(
         model, policy="budget", review_budget=10, monitor_drift=False,
-        executor=preset, min_shard_rows=8, stripe_min_rows=8,
-        daemon_workers=2, **kwargs,
+        executor=executor, **kwargs,
     )
     pipe.calibrate(split.X_val)
     return pipe
+
+
+@contextlib.contextmanager
+def pipeline_of(kind, model, split):
+    """A calibrated pipeline serving through ``kind``, closed on exit."""
+    with contextlib.ExitStack() as stack:
+        executor = kind
+        if kind == "daemon":
+            executor = stack.enter_context(
+                ServingDaemon(build_scoring_spec(model, "ed"), n_workers=2)
+            )
+        pipe = make_pipeline(model, split, executor)
+        stack.callback(pipe.close)
+        yield pipe
 
 
 def assert_batches_equal(got, want):
@@ -92,11 +107,10 @@ def assert_batches_equal(got, want):
 class StubExecutor(Executor):
     """Scripted executor for chain-matrix tests: returns or raises."""
 
-    def __init__(self, name, outcome, alive=True, eligible=True):
+    def __init__(self, name, outcome, alive=True):
         self.name = name
         self._outcome = outcome
         self._alive = alive
-        self._eligible = eligible
         self.calls = 0
         self.reset_calls = 0
         self.close_calls = 0
@@ -104,9 +118,6 @@ class StubExecutor(Executor):
     @property
     def alive(self):
         return self._alive
-
-    def eligible(self, n_rows):
-        return self._eligible
 
     def score(self, X):
         self.calls += 1
@@ -125,51 +136,38 @@ class TestBitwiseParity:
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
     def test_score_matches_inline_bitwise(self, kind, fitted):
         model, split = fitted
-        executor = make_executor(
-            kind, lambda: build_scoring_spec(model, "ed"), lambda: model
-        )
-        try:
+        with executor_of(kind, model) as executor:
             scores, routing = executor.score(split.X_test)
-        finally:
-            executor.close()
         exp_s, exp_r = model.score_batch(split.X_test, strategy="ed")
         np.testing.assert_array_equal(scores, exp_s)
         np.testing.assert_array_equal(routing, exp_r)
 
-    @pytest.mark.parametrize("preset", EXECUTOR_KINDS)
-    def test_pipeline_parity_with_quarantine(self, preset, fitted):
+    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    def test_pipeline_parity_with_quarantine(self, kind, fitted):
         model, split = fitted
-        inline = make_pipeline(model, split, "inline")
-        pipe = make_pipeline(model, split, preset)
+        inline = make_pipeline(model, split)
         X = split.X_test.copy()
         X[3, 0] = np.nan  # quarantine path must survive every executor
-        try:
-            want = inline.process(X)
+        want = inline.process(X)
+        with pipeline_of(kind, model, split) as pipe:
             got = pipe.process(X)
-            assert pipe.chain.last_executor == preset
-        finally:
-            pipe.close()
-            inline.close()
+            assert pipe.chain.last_executor == kind
         assert_batches_equal(got, want)
 
-    @pytest.mark.parametrize("preset", EXECUTOR_KINDS)
-    def test_post_swap_parity(self, preset, fitted, model_b):
+    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    def test_post_swap_parity(self, kind, fitted, model_b):
         """After a hot swap every executor serves the new generation
         bitwise-identically to a fresh inline pipeline on that model."""
         model, split = fitted
-        pipe = make_pipeline(model, split, preset)
-        fresh_b = make_pipeline(model_b, split, "inline")
+        fresh_b = make_pipeline(model_b, split)
         X = split.X_test[:96]
-        try:
-            pipe.process(X)  # lazily builds the worker surface
+        with pipeline_of(kind, model, split) as pipe:
+            pipe.process(X)
             pipe.swap_model(model_b, split.X_val)
             got = pipe.process(X)
             assert pipe.generation == 1
-            assert pipe.chain.last_executor == preset
-            assert_batches_equal(got, fresh_b.process(X))
-        finally:
-            pipe.close()
-            fresh_b.close()
+            assert pipe.chain.last_executor == kind
+        assert_batches_equal(got, fresh_b.process(X))
 
 
 class TestBackendConformance:
@@ -181,13 +179,8 @@ class TestBackendConformance:
 
         model, split = fitted
         with use_backend("tiled"):
-            executor = make_executor(
-                kind, lambda: build_scoring_spec(model, "ed"), lambda: model
-            )
-            try:
+            with executor_of(kind, model) as executor:
                 scores, routing = executor.score(split.X_test)
-            finally:
-                executor.close()
             exp_s, exp_r = model.score_batch(split.X_test, strategy="ed")
         np.testing.assert_array_equal(scores, exp_s)
         np.testing.assert_array_equal(routing, exp_r)
@@ -205,17 +198,12 @@ class TestUpdateSpecVisibility:
     @pytest.mark.parametrize("kind", WORKER_KINDS)
     def test_new_spec_visible_to_workers(self, kind, fitted, model_b):
         model, split = fitted
-        executor = make_executor(
-            kind, lambda: build_scoring_spec(model, "ed"), lambda: model
-        )
         X = split.X_test[:64]
-        try:
-            executor.score(X)  # builds the worker surface on model A
+        with executor_of(kind, model) as executor:
+            executor.score(X)  # workers serve model A
             assert executor.needs_spec()
             executor.update_spec(build_scoring_spec(model_b, "ed"))
             scores, routing = executor.score(X)
-        finally:
-            executor.close()
         exp_s, exp_r = model_b.score_batch(X, strategy="ed")
         np.testing.assert_array_equal(scores, exp_s)
         np.testing.assert_array_equal(routing, exp_r)
@@ -253,14 +241,12 @@ class TestFallbackMatrix:
                    if e.name == "serve.executor.demoted"]
         assert [e.fields["executor"] for e in demoted] == ["first", "second"]
 
-    def test_dead_and_ineligible_executors_skipped_without_call(self):
+    def test_dead_executor_skipped_without_call(self):
         dead = StubExecutor("dead", (None, None), alive=False)
-        small = StubExecutor("small", (None, None), eligible=False)
         ok = StubExecutor("ok", (np.zeros(2), np.zeros(2, dtype=np.int64)))
-        chain = FallbackChain([dead, small, ok],
-                              telemetry=TelemetryRegistry())
+        chain = FallbackChain([dead, ok], telemetry=TelemetryRegistry())
         chain.score(np.zeros((2, 4)))
-        assert dead.calls == 0 and small.calls == 0 and ok.calls == 1
+        assert dead.calls == 0 and ok.calls == 1
 
     def test_model_fault_propagates_without_demotion(self):
         telemetry = TelemetryRegistry()
@@ -297,7 +283,7 @@ class TestBreakerContract:
     def test_infra_fault_never_touches_breaker(self, fitted):
         model, split = fitted
         telemetry = TelemetryRegistry()
-        pipe = make_pipeline(model, split, "inline", telemetry=telemetry)
+        pipe = make_pipeline(model, split, telemetry=telemetry)
         pipe.chain.executors.insert(
             0, StubExecutor("flaky", ExecutorUnavailable("transient"))
         )
@@ -311,7 +297,7 @@ class TestBreakerContract:
     def test_model_fault_reports_to_breaker(self, fitted):
         model, split = fitted
         telemetry = TelemetryRegistry()
-        pipe = make_pipeline(model, split, "inline", telemetry=telemetry)
+        pipe = make_pipeline(model, split, telemetry=telemetry)
         pipe.chain.executors.insert(
             0, StubExecutor("faulty", ValueError("injected model fault"))
         )
@@ -326,11 +312,9 @@ class TestCloseIdempotent:
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
     def test_double_close_after_scoring(self, kind, fitted):
         model, split = fitted
-        executor = make_executor(
-            kind, lambda: build_scoring_spec(model, "ed"), lambda: model
-        )
-        executor.score(split.X_test[:32])
-        executor.close()
+        with executor_of(kind, model) as executor:
+            executor.score(split.X_test[:32])
+            executor.close()
         executor.close()
 
     def test_external_daemon_survives_executor_close(self, fitted):
@@ -346,56 +330,3 @@ class TestCloseIdempotent:
         finally:
             daemon.close()
 
-
-class TestStriping:
-    def test_large_batch_stripes_across_workers_in_order(self, fitted):
-        model, split = fitted
-        telemetry = TelemetryRegistry()
-        executor = StripedDaemonExecutor(
-            lambda: build_scoring_spec(model, "ed"),
-            n_workers=2, stripe_min_rows=8, telemetry=telemetry,
-        )
-        X = split.X_test
-        try:
-            scores, routing = executor.score(X)
-        finally:
-            executor.close()
-        exp_s, exp_r = model.score_batch(X, strategy="ed")
-        np.testing.assert_array_equal(scores, exp_s)  # in-order merge
-        np.testing.assert_array_equal(routing, exp_r)
-        assert telemetry.counters["serve.daemon.stripes"] == 2
-        assert telemetry.counters["serve.daemon.striped_batches"] == 1
-        assert executor.telemetry_tags()["n_stripes"] == 2
-
-    def test_small_batch_takes_plain_daemon_path(self, fitted):
-        model, split = fitted
-        telemetry = TelemetryRegistry()
-        executor = StripedDaemonExecutor(
-            lambda: build_scoring_spec(model, "ed"),
-            n_workers=2, stripe_min_rows=10_000, telemetry=telemetry,
-        )
-        try:
-            executor.score(split.X_test)
-        finally:
-            executor.close()
-        assert "serve.daemon.stripes" not in telemetry.counters
-        assert executor.telemetry_tags()["n_stripes"] == 0
-
-    def test_submit_handle_merges_like_score(self, fitted):
-        """The async submit() surface (used by the replay bench) returns
-        a handle whose result is the same in-order merge."""
-        model, split = fitted
-        executor = StripedDaemonExecutor(
-            lambda: build_scoring_spec(model, "ed"),
-            n_workers=2, stripe_min_rows=8,
-        )
-        X = split.X_test
-        try:
-            handle = executor.submit(X)
-            scores, routing = handle.result(60.0)
-            assert handle.t_done is not None
-        finally:
-            executor.close()
-        exp_s, exp_r = model.score_batch(X, strategy="ed")
-        np.testing.assert_array_equal(scores, exp_s)
-        np.testing.assert_array_equal(routing, exp_r)

@@ -1,7 +1,7 @@
 """Zero-downtime model hot-swap: atomicity, parity, worker re-push.
 
-Acceptance for the lifecycle tentpole: a live ScoringPipeline — plain,
-daemon-backed, and sharded — completes a hot-swap under concurrent
+Acceptance for the lifecycle loop: a live ScoringPipeline — inline and
+daemon-backed (owned and caller-owned) — completes a hot-swap under concurrent
 traffic with zero dropped batches, the breaker closed throughout, and
 post-swap scoring bitwise-identical to a pipeline freshly constructed
 and calibrated on the new model.
@@ -15,6 +15,9 @@ import pytest
 from repro.core import TargAD, TargADConfig
 from repro.resilience import SwapError
 from repro.serving import ScoringPipeline
+from repro.serving.daemon import ServingDaemon
+from repro.serving.executor import DaemonExecutor
+from repro.serving.sharding import build_scoring_spec
 
 
 @pytest.fixture(scope="module")
@@ -168,13 +171,14 @@ class TestDaemonSwap:
 
         model_a, model_b = models
         registry = TelemetryRegistry()
-        pipe = calibrated(model_a, split, daemon=True, daemon_workers=2,
-                          telemetry=registry)
+        daemon = ServingDaemon(build_scoring_spec(model_a, "ed"), n_workers=2,
+                               telemetry=registry).start()
+        pipe = calibrated(model_a, split, executor=daemon, telemetry=registry)
         fresh_b = calibrated(model_b, split)
         X = split.X_test[:96]
 
-        pipe.process(X)  # lazily starts the daemon
-        assert pipe._daemon is not None and pipe._daemon.alive
+        pipe.process(X)
+        assert pipe.chain.last_executor == "daemon"
 
         results, errors = [], []
         stop = threading.Event()
@@ -198,7 +202,8 @@ class TestDaemonSwap:
             assert not errors
             assert pipe.generation == 1
             # The daemon survived the swap: same object, respawned workers.
-            assert pipe._daemon is not None and pipe._daemon.alive
+            assert pipe.chain.find(DaemonExecutor).daemon is daemon
+            assert daemon.alive
             assert registry.counters["serve.daemon.spec_updates"] == 1
             # Zero dropped batches: every concurrent call returned finite
             # scores for every kept row (no DaemonUnavailable fallback is a
@@ -210,16 +215,19 @@ class TestDaemonSwap:
             # Post-swap daemon scoring is bitwise-identical to a fresh
             # single-process pipeline on model B.
             assert_batches_equal(pipe.process(X), fresh_b.process(X))
+            assert pipe.chain.last_executor == "daemon"
         finally:
             pipe.close()
+            daemon.close()
 
     def test_daemon_swap_fault_keeps_old_generation_serving(self, split, models):
         model_a, model_b = models
-        pipe = calibrated(model_a, split, daemon=True, daemon_workers=1)
+        pipe = calibrated(model_a, split, executor="daemon")
         X = split.X_test[:64]
         try:
             before = pipe.process(X)
-            assert pipe._daemon is not None and pipe._daemon.alive
+            owned = pipe.chain.find(DaemonExecutor).daemon
+            assert owned is not None and owned.alive
 
             def fire(phase):
                 if phase == "flip":
@@ -230,48 +238,8 @@ class TestDaemonSwap:
                                 fault_points=fire)
             assert pipe.generation == 0 and pipe.model is model_a
             after = pipe.process(X)  # daemon lazily rebuilt on model A
+            assert pipe.chain.last_executor == "daemon"
             assert_batches_equal(after, before)
             assert pipe.circuit_breaker.state == "closed"
-        finally:
-            pipe.close()
-
-
-class TestShardedSwap:
-    def test_sharded_swap_bitwise_parity(self, split, models):
-        model_a, model_b = models
-        pipe = calibrated(model_a, split, shard_workers=2, min_shard_rows=64)
-        fresh_b = calibrated(model_b, split)
-        X = split.X_test[:128]
-        try:
-            pipe.process(X)  # builds the shard pool
-            assert pipe._sharder is not None
-            pipe.swap_model(model_b, split.X_val, split.y_val_binary,
-                            X_reference=split.X_unlabeled)
-            assert pipe.generation == 1
-            got = pipe.process(X)
-            assert pipe._last_n_shards > 0  # actually scored via the pool
-            assert_batches_equal(got, fresh_b.process(X))
-            assert pipe.circuit_breaker.state == "closed"
-        finally:
-            pipe.close()
-
-    def test_sharded_swap_fault_rolls_back_pool(self, split, models):
-        model_a, model_b = models
-        pipe = calibrated(model_a, split, shard_workers=2, min_shard_rows=64)
-        X = split.X_test[:128]
-        try:
-            before = pipe.process(X)
-
-            def fire(phase):
-                if phase == "flip":
-                    raise RuntimeError("chaos at flip")
-
-            pipe.process(X)
-            with pytest.raises(SwapError):
-                pipe.swap_model(model_b, split.X_val, split.y_val_binary,
-                                fault_points=fire)
-            assert pipe.generation == 0
-            after = pipe.process(X)
-            assert_batches_equal(after, before)
         finally:
             pipe.close()

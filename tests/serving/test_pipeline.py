@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import TargAD, TargADConfig
 from repro.data.schema import KIND_TARGET
-from repro.serving import ScoringPipeline
+from repro.serving import ScoringPipeline, ServingDaemon, build_scoring_spec
+from repro.serving.executor import DaemonExecutor
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +119,32 @@ class TestProcessing:
         pipe = ScoringPipeline(model, policy="budget", monitor_drift=False)
         pipe.calibrate(split.X_val)
         assert pipe.process(split.X_test).drift is None
+
+
+class TestExecutorArgument:
+    def test_default_is_inline_only(self, fitted):
+        model, _ = fitted
+        pipe = ScoringPipeline(model)
+        assert [ex.name for ex in pipe.chain] == ["inline"]
+
+    def test_close_shuts_down_only_the_owned_daemon(self, fitted):
+        model, split = fitted
+        with ServingDaemon(build_scoring_spec(model, "ed")) as shared:
+            caller_owned = ScoringPipeline(model, policy="budget",
+                                           executor=shared)
+            owning = ScoringPipeline(model, policy="budget", executor="daemon")
+            for pipe in (caller_owned, owning):
+                pipe.calibrate(split.X_val).process(split.X_test)
+                assert pipe.chain.last_executor == "daemon"
+            owned = owning.chain.find(DaemonExecutor).daemon
+            assert owned is not None and owned is not shared
+            caller_owned.close()
+            owning.close()
+            assert shared.alive
+            assert not owned.alive
+
+    @pytest.mark.parametrize("bad", ["sharded", "Daemon", None, True])
+    def test_bad_executor_value_rejected(self, fitted, bad):
+        model, _ = fitted
+        with pytest.raises(ValueError, match="ServingDaemon"):
+            ScoringPipeline(model, executor=bad)

@@ -89,6 +89,13 @@ class TestThreeLayerIntegration:
         batches = registry.events.by_name("serve.batch")
         assert len(batches) == 2
         assert batches[1].fields["drifted"] is True
+        # The tri-class route mix plus quarantined rows accounts for
+        # every row of the batch.
+        for event in batches:
+            f = event.fields
+            routed = f["n_normal"] + f["n_target"] + f["n_nontarget"]
+            assert routed + f["n_quarantined"] == f["n"]
+            assert f["n_nontarget"] == f["n_deferred"]
         assert registry.events.by_name("serve.calibrated")
 
     def test_dashboard_and_snapshot_cover_all_layers(self, registry):
