@@ -64,19 +64,6 @@ WORKLOADS = {
     "autoencoder_fallback": [32, 64, 16, 64, 32],
 }
 
-#: Backend-comparison workloads: the SQB one-hot regime (a small dense
-#: numeric prefix followed by wide one-hot categorical blocks) at the
-#: 182-feature width, through the TargAD classifier-head and AE-fallback
-#: shapes. These batches are where the tiled backend's sparse-aware
-#: first-layer kernel replaces most of the first matmul with per-row
-#: weight gathers; dense workloads above stay on the reference numbers.
-BACKEND_WORKLOADS = {
-    "sqb_onehot_head": [182, 64, 32, 5],
-    "sqb_onehot_ae": [182, 128, 32, 128, 182],
-}
-ONEHOT_DENSE_FEATURES = 20
-ONEHOT_BLOCKS = (122, 40)
-
 #: Pin every BLAS/OMP pool to one thread in worker subprocesses so the
 #: numbers measure the code, not the host's implicit thread count.
 THREAD_ENV = {
@@ -120,7 +107,6 @@ def _measure(name: str, repeats: int) -> dict:
             best["f32"] = min(best["f32"], once())
     return {
         "workload": name,
-        "backend": "numpy",
         "rows": ROWS,
         "graph_rows_per_sec": round(ROWS / best["graph"], 1),
         "compiled_rows_per_sec": round(ROWS / best["compiled"], 1),
@@ -130,72 +116,9 @@ def _measure(name: str, repeats: int) -> dict:
     }
 
 
-def _make_onehot_batch(rng, rows: int) -> np.ndarray:
-    """An SQB-regime batch: dense numeric prefix + Zipf one-hot blocks."""
-    d = ONEHOT_DENSE_FEATURES + sum(ONEHOT_BLOCKS)
-    X = np.zeros((rows, d))
-    X[:, :ONEHOT_DENSE_FEATURES] = rng.normal(size=(rows, ONEHOT_DENSE_FEATURES))
-    off = ONEHOT_DENSE_FEATURES
-    for b in ONEHOT_BLOCKS:
-        p = (1.0 / np.arange(1, b + 1)) ** 1.2
-        idx = rng.choice(b, size=rows, p=p / p.sum())
-        X[np.arange(rows), off + idx] = 1.0
-        off += b
-    return X
-
-
-def _measure_backend_compare(name: str, repeats: int) -> dict:
-    """Compiled rows/sec under the numpy vs tiled backend, interleaved.
-
-    Both backends run the identical compiled plan structure on the same
-    one-hot batches; the tiled backend's sparse fused kernel is asserted
-    to both fire (``sparse_hits``) and agree with the reference output to
-    its published 1e-9 parity tolerance before any timing is trusted.
-    """
-    from repro.backend import get_backend, use_backend
-    from repro.nn import forward_in_batches
-    from repro.nn.layers import mlp
-
-    sizes = BACKEND_WORKLOADS[name]
-    rng = np.random.default_rng(0)
-    output_activation = "relu" if name == "sqb_onehot_ae" else "linear"
-    model = mlp(sizes, activation="relu",
-                output_activation=output_activation, rng=rng)
-    X = _make_onehot_batch(rng, ROWS)
-
-    def once() -> float:
-        start = time.perf_counter()
-        forward_in_batches(model, X, batch_size=BATCH_SIZE)
-        return time.perf_counter() - start
-
-    tiled = get_backend("tiled")
-    reference = forward_in_batches(model, X, batch_size=BATCH_SIZE)
-    hits_before = tiled.sparse_hits
-    with use_backend("tiled"):
-        got = forward_in_batches(model, X, batch_size=BATCH_SIZE)
-    if tiled.sparse_hits == hits_before:
-        raise RuntimeError(f"{name}: tiled sparse path never fired")
-    np.testing.assert_allclose(got, reference, atol=tiled.parity_atol, rtol=0)
-
-    best = {"numpy": float("inf"), "tiled": float("inf")}
-    for _ in range(repeats):
-        best["numpy"] = min(best["numpy"], once())
-        with use_backend("tiled"):
-            best["tiled"] = min(best["tiled"], once())
-    return {
-        "workload": name,
-        "backend": "numpy+tiled",
-        "rows": ROWS,
-        "onehot_blocks": list(ONEHOT_BLOCKS),
-        "numpy_rows_per_sec": round(ROWS / best["numpy"], 1),
-        "tiled_rows_per_sec": round(ROWS / best["tiled"], 1),
-        "speedup_tiled_vs_numpy": round(best["numpy"] / best["tiled"], 2),
-    }
-
-
 def run(repeats: int) -> dict:
     results = []
-    for name in [*WORKLOADS, *BACKEND_WORKLOADS]:
+    for name in WORKLOADS:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         env.update(THREAD_ENV)
@@ -207,7 +130,6 @@ def run(repeats: int) -> dict:
         )
         results.append(json.loads(proc.stdout))
     serving = [r for r in results if r["workload"] == "classifier_head"]
-    compares = [r for r in results if r["workload"] in BACKEND_WORKLOADS]
     return {
         "benchmark": "inference_throughput",
         "repeats": repeats,
@@ -224,11 +146,6 @@ def run(repeats: int) -> dict:
         "serving_speedup_f32_vs_graph": min(
             r["speedup_f32_vs_graph"] for r in serving
         ),
-        # Best tiled-backend win on the SQB one-hot workloads (the
-        # bench_baseline.json floor checks this, non-gating).
-        "tiled_speedup_vs_numpy_max": max(
-            r["speedup_tiled_vs_numpy"] for r in compares
-        ),
     }
 
 
@@ -244,12 +161,9 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=9)
     parser.add_argument("--out", type=Path, default=REPO_ROOT / "BENCH_inference.json")
     parser.add_argument("--worker",
-                        choices=sorted([*WORKLOADS, *BACKEND_WORKLOADS]),
+                        choices=sorted(WORKLOADS),
                         help="internal: measure one workload, print JSON")
     args = parser.parse_args()
-    if args.worker in BACKEND_WORKLOADS:
-        print(json.dumps(_measure_backend_compare(args.worker, args.repeats)))
-        return
     if args.worker:
         print(json.dumps(_measure(args.worker, args.repeats)))
         return
@@ -257,14 +171,6 @@ def main() -> None:
     merge_into(args.out, payload)
     print(f"merged inference_throughput keys into {args.out}")
     for row in payload["results"]:
-        if row["workload"] in BACKEND_WORKLOADS:
-            print(
-                f"  {row['workload']:>20} rows={row['rows']:<6} "
-                f"numpy={row['numpy_rows_per_sec']:>12,.0f} r/s  "
-                f"tiled={row['tiled_rows_per_sec']:>12,.0f} r/s  "
-                f"({row['speedup_tiled_vs_numpy']}x)"
-            )
-            continue
         print(
             f"  {row['workload']:>20} rows={row['rows']:<6} "
             f"graph={row['graph_rows_per_sec']:>12,.0f} r/s  "
@@ -275,8 +181,7 @@ def main() -> None:
     print(
         "  serving headline: "
         f"{payload['serving_speedup_compiled_vs_graph']}x compiled, "
-        f"{payload['serving_speedup_f32_vs_graph']}x float32, "
-        f"tiled-vs-numpy {payload['tiled_speedup_vs_numpy_max']}x (one-hot)"
+        f"{payload['serving_speedup_f32_vs_graph']}x float32"
     )
 
 

@@ -9,7 +9,7 @@
 #   scripts/ci.sh daemon   # serving daemon + shm ring suites + replay smoke
 #   scripts/ci.sh executor # executor conformance suite (2-worker daemons)
 #   scripts/ci.sh lifecycle # drift-triggered refit + hot-swap suites + CLI smoke
-#   scripts/ci.sh backend  # backend conformance + parity under numpy AND tiled
+#   scripts/ci.sh backend  # dtype policy, fused kernels, plan cache, end-to-end parity
 #   scripts/ci.sh bench    # inference throughput benchmark (non-gating)
 #
 # The tier-1 gate is the canonical `PYTHONPATH=src python -m pytest -x -q`
@@ -91,16 +91,13 @@ run_lifecycle() {
 }
 
 run_backend() {
-    # The execution-backend lane: the registry-parametrized conformance
-    # suite (compiled-vs-graph parity under every registered backend at
-    # its published parity_atol), the tiled kernel unit tests (sparse
-    # gather path, verification fallbacks, plan/scratch caching), the
-    # fused-kernel dispatch suite, the backend-keyed plan cache, and the
-    # end-to-end parity suite — which runs TargAD scoring under
-    # use_backend("tiled") as well as the default.
-    echo '== backend lane: conformance under numpy + tiled =='
-    python -m pytest -x -q tests/backend \
-        tests/nn/test_backend_conformance.py \
+    # The numeric-kernel lane: the dtype policy (float64 training,
+    # opt-in per-thread float32 inference), compiled-vs-graph parity on
+    # dense and one-hot batches, the fused Dense+activation kernel suite,
+    # the weight-keyed plan cache, and the end-to-end parity suite over
+    # TargAD and the baselines.
+    echo '== backend lane: dtype policy, fused kernels, plan cache, parity =='
+    python -m pytest -x -q tests/backend tests/nn/test_compile_inference.py \
         tests/nn/test_fused_kernels.py tests/nn/test_plan_cache.py \
         tests/test_inference_parity.py
 }
@@ -145,23 +142,6 @@ for workload in ("autoencoder_fallback", "classifier_head"):
         print(f"WARNING: {message}", file=sys.stderr)
     else:
         print(f"bench check: {workload} {got}x >= floor {floor}x")
-
-# Tiled-backend rows: the sparse-aware kernel's best win over the
-# reference backend on the SQB one-hot workloads must stay above its
-# recorded floor (non-gating, like everything in this lane).
-tiled_floor = baseline.get("tiled_vs_numpy_speedup_min")
-tiled_best = payload.get("tiled_speedup_vs_numpy_max")
-if tiled_floor is not None and tiled_best is not None:
-    if tiled_best < tiled_floor:
-        message = (
-            f"tiled backend regression: best tiled-vs-numpy speedup "
-            f"{tiled_best}x, baseline floor {tiled_floor}x (non-gating)"
-        )
-        print(f"::warning title=bench regression::{message}")
-        print(f"WARNING: {message}", file=sys.stderr)
-    else:
-        print(f"bench check: tiled-vs-numpy {tiled_best}x >= "
-              f"floor {tiled_floor}x")
 
 # Latency-under-load rows from bench_replay.py: the daemon's best
 # throughput speedup over the single-process baseline must stay above

@@ -1,4 +1,4 @@
-"""A reverse-mode automatic differentiation tensor over backend arrays.
+"""A reverse-mode automatic differentiation tensor over numpy arrays.
 
 The engine builds a dynamic computation graph as operations execute; calling
 :meth:`Tensor.backward` on a scalar output propagates gradients to every
@@ -6,12 +6,8 @@ tensor created with ``requires_grad=True``.
 
 Design notes
 ------------
-- All array math is routed through :mod:`repro.backend` (``B.*``), the
-  pluggable numeric backend, instead of calling numpy directly. The
-  reference backend is numpy; the op surface is documented in
-  :class:`repro.backend.NumpyBackend`.
-- All data is stored in the training dtype of the backend policy
-  (``float64``). The models in this repository are small (tabular
+- All data is stored in the training dtype of the :mod:`repro.backend`
+  dtype policy (``float64``). The models in this repository are small (tabular
   MLPs/autoencoders), so we favour numerical robustness and exact gradient
   checks over memory footprint. Inference that wants ``float32`` should use
   the graph-free compiled path (:func:`repro.nn.inference.compile_inference`)
@@ -34,9 +30,11 @@ import contextlib
 import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
-from repro.backend import ops as B
+import numpy as np
 
-ArrayLike = Union[B.ndarray, float, int, Sequence]
+from repro.backend.policy import TRAINING_DTYPE
+
+ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 
 class _GradMode(threading.local):
@@ -69,11 +67,16 @@ def no_grad():
         _GRAD_MODE.enabled = previous
 
 
-def _as_array(value: ArrayLike) -> B.ndarray:
-    return B.asarray(value)
+def _as_array(value: ArrayLike) -> np.ndarray:
+    return np.asarray(value, dtype=TRAINING_DTYPE)
 
 
-def _unbroadcast(grad: B.ndarray, shape: tuple) -> B.ndarray:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically-guarded logistic ``1 / (1 + exp(-x))``."""
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` over the axes that broadcasting introduced.
 
     ``grad`` has the shape of the broadcast result; the returned array has
@@ -107,7 +110,7 @@ class _Backward:
         self.rule = rule
         self.state = state
 
-    def __call__(self, grad: B.ndarray) -> None:
+    def __call__(self, grad: np.ndarray) -> None:
         self.rule(grad, *self.state)
 
 
@@ -117,7 +120,7 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like payload; converted to an array of the backend's
+        Array-like payload; converted to a numpy array of the policy's
         training dtype (``float64``).
     requires_grad:
         Whether gradients should be accumulated into ``self.grad`` during
@@ -129,7 +132,7 @@ class Tensor:
     def __init__(self, data: ArrayLike, requires_grad: bool = False):
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad) and _GRAD_MODE.enabled
-        self.grad: Optional[B.ndarray] = None
+        self.grad: Optional[np.ndarray] = None
         self._backward: Optional[_Backward] = None
         self._parents: tuple = ()
 
@@ -155,8 +158,8 @@ class Tensor:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor({self.data!r}{grad_flag})"
 
-    def numpy(self) -> B.ndarray:
-        """Return the underlying backend array (no copy)."""
+    def numpy(self) -> np.ndarray:
+        """Return the underlying numpy array (no copy)."""
         return self.data
 
     def item(self) -> float:
@@ -171,7 +174,7 @@ class Tensor:
     # ------------------------------------------------------------------
     @staticmethod
     def _make(
-        data: B.ndarray,
+        data: np.ndarray,
         parents: Iterable["Tensor"],
         rule: Callable,
         state: tuple,
@@ -191,8 +194,8 @@ class Tensor:
             out._backward = _Backward(rule, state)
         return out
 
-    def _accumulate(self, grad: B.ndarray) -> None:
-        grad = _unbroadcast(B.asarray(grad), self.data.shape)
+    def _accumulate(self, grad: np.ndarray) -> None:
+        grad = _unbroadcast(_as_array(grad), self.data.shape)
         if self.grad is None:
             self.grad = grad.copy()
         else:
@@ -216,8 +219,8 @@ class Tensor:
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
-            grad = B.ones_like(self.data)
-        grad = B.asarray(grad)
+            grad = np.ones_like(self.data)
+        grad = _as_array(grad)
 
         # Topological order over the reachable graph.
         order: list[Tensor] = []
@@ -289,13 +292,13 @@ class Tensor:
             raise TypeError("tensor exponents are not supported; use exp/log")
         exponent = float(exponent)
         return Tensor._make(
-            B.power(self.data, exponent), (self,), _pow_backward, (self, exponent)
+            np.power(self.data, exponent), (self,), _pow_backward, (self, exponent)
         )
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = self._coerce(other)
         return Tensor._make(
-            B.matmul(self.data, other.data), (self, other), _matmul_backward, (self, other)
+            np.matmul(self.data, other.data), (self, other), _matmul_backward, (self, other)
         )
 
     # ------------------------------------------------------------------
@@ -314,7 +317,7 @@ class Tensor:
             count = self.data.size
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(B.prod([self.data.shape[a] for a in axes]))
+            count = int(np.prod([self.data.shape[a] for a in axes]))
         return Tensor._make(
             self.data.mean(axis=axis, keepdims=keepdims),
             (self,),
@@ -329,10 +332,10 @@ class Tensor:
         )
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return self._extremum(axis, keepdims, B.amax)
+        return self._extremum(axis, keepdims, np.max)
 
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return self._extremum(axis, keepdims, B.amin)
+        return self._extremum(axis, keepdims, np.min)
 
     def var(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Population variance (ddof=0), differentiable."""
@@ -345,13 +348,13 @@ class Tensor:
         return (self.var(axis=axis, keepdims=keepdims) + eps).sqrt()
 
     @staticmethod
-    def where(condition: B.ndarray, a: "Tensor", b: "Tensor") -> "Tensor":
+    def where(condition: np.ndarray, a: "Tensor", b: "Tensor") -> "Tensor":
         """Elementwise select; ``condition`` is a non-differentiable mask."""
-        condition = B.as_bool(condition)
+        condition = np.asarray(condition, dtype=bool)
         a = a if isinstance(a, Tensor) else Tensor(a)
         b = b if isinstance(b, Tensor) else Tensor(b)
         return Tensor._make(
-            B.where(condition, a.data, b.data),
+            np.where(condition, a.data, b.data),
             (a, b),
             _where_backward,
             (condition, a, b),
@@ -363,7 +366,7 @@ class Tensor:
         a_wins = self.data > other.data
         tie = self.data == other.data
         return Tensor._make(
-            B.maximum(self.data, other.data),
+            np.maximum(self.data, other.data),
             (self, other),
             _pairwise_extremum_backward,
             (self, other, a_wins, tie),
@@ -375,7 +378,7 @@ class Tensor:
         a_wins = self.data < other.data
         tie = self.data == other.data
         return Tensor._make(
-            B.minimum(self.data, other.data),
+            np.minimum(self.data, other.data),
             (self, other),
             _pairwise_extremum_backward,
             (self, other, a_wins, tie),
@@ -385,75 +388,76 @@ class Tensor:
     # Elementwise functions
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
-        out_data = B.exp(self.data)
+        out_data = np.exp(self.data)
         return Tensor._make(out_data, (self,), _exp_backward, (self, out_data))
 
     def log(self) -> "Tensor":
-        return Tensor._make(B.log(self.data), (self,), _log_backward, (self,))
+        return Tensor._make(np.log(self.data), (self,), _log_backward, (self,))
 
     def sqrt(self) -> "Tensor":
-        out_data = B.sqrt(self.data)
+        out_data = np.sqrt(self.data)
         return Tensor._make(out_data, (self,), _sqrt_backward, (self, out_data))
 
     def abs(self) -> "Tensor":
-        return Tensor._make(B.abs(self.data), (self,), _abs_backward, (self,))
+        return Tensor._make(np.abs(self.data), (self,), _abs_backward, (self,))
 
     def tanh(self) -> "Tensor":
-        out_data = B.tanh(self.data)
+        out_data = np.tanh(self.data)
         return Tensor._make(out_data, (self,), _tanh_backward, (self, out_data))
 
     def sigmoid(self) -> "Tensor":
-        out_data = B.sigmoid(self.data)
+        out_data = _sigmoid(self.data)
         return Tensor._make(out_data, (self,), _sigmoid_backward, (self, out_data))
 
     def relu(self) -> "Tensor":
-        mask = B.as_float(self.data > 0)
+        mask = np.asarray(self.data > 0).astype(TRAINING_DTYPE)
         return Tensor._make(self.data * mask, (self,), _masked_backward, (self, mask))
 
     def leaky_relu(self, slope: float = 0.01) -> "Tensor":
-        factor = B.where(self.data > 0, 1.0, slope)
+        factor = np.where(self.data > 0, 1.0, slope)
         return Tensor._make(
             self.data * factor, (self,), _masked_backward, (self, factor)
         )
 
     def softplus(self) -> "Tensor":
         # log(1 + exp(x)), numerically stabilized; d/dx = sigmoid(x).
-        out_data = B.softplus(self.data)
-        sig = B.sigmoid(self.data)
+        out_data = np.logaddexp(0.0, self.data)
+        sig = _sigmoid(self.data)
         return Tensor._make(out_data, (self,), _masked_backward, (self, sig))
 
     def clip(self, low: float, high: float) -> "Tensor":
-        mask = B.as_float((self.data >= low) & (self.data <= high))
+        inside = (self.data >= low) & (self.data <= high)
+        mask = np.asarray(inside).astype(TRAINING_DTYPE)
         return Tensor._make(
-            B.clip(self.data, low, high), (self,), _masked_backward, (self, mask)
+            np.clip(self.data, low, high), (self,), _masked_backward, (self, mask)
         )
 
     # ------------------------------------------------------------------
     # Softmax family (fused for numerical stability)
     # ------------------------------------------------------------------
     def log_softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - B.amax(self.data, axis=axis, keepdims=True)
-        log_norm = B.log(B.exp(shifted).sum(axis=axis, keepdims=True))
+        shifted = self.data - np.max(self.data, axis=axis, keepdims=True)
+        log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         out_data = shifted - log_norm
-        softmax = B.exp(out_data)
+        softmax = np.exp(out_data)
         return Tensor._make(
             out_data, (self,), _log_softmax_backward, (self, softmax, axis)
         )
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - B.amax(self.data, axis=axis, keepdims=True)
-        exp = B.exp(shifted)
+        shifted = self.data - np.max(self.data, axis=axis, keepdims=True)
+        exp = np.exp(shifted)
         out_data = exp / exp.sum(axis=axis, keepdims=True)
         return Tensor._make(
             out_data, (self,), _softmax_backward, (self, out_data, axis)
         )
 
     def logsumexp(self, axis: int = -1, keepdims: bool = False) -> "Tensor":
-        shifted = self.data - B.amax(self.data, axis=axis, keepdims=True)
-        sums = B.exp(shifted).sum(axis=axis, keepdims=True)
-        out_keep = B.amax(self.data, axis=axis, keepdims=True) + B.log(sums)
-        softmax = B.exp(self.data - out_keep)
-        out_data = out_keep if keepdims else B.squeeze(out_keep, axis=axis)
+        shifted = self.data - np.max(self.data, axis=axis, keepdims=True)
+        sums = np.exp(shifted).sum(axis=axis, keepdims=True)
+        out_keep = np.max(self.data, axis=axis, keepdims=True) + np.log(sums)
+        softmax = np.exp(self.data - out_keep)
+        out_data = out_keep if keepdims else np.squeeze(out_keep, axis=axis)
         return Tensor._make(
             out_data, (self,), _logsumexp_backward, (self, softmax, axis, keepdims)
         )
@@ -483,7 +487,7 @@ class Tensor:
         offsets = [0]
         for t in tensors:
             offsets.append(offsets[-1] + t.data.shape[axis])
-        data = B.concatenate([t.data for t in tensors], axis=axis)
+        data = np.concatenate([t.data for t in tensors], axis=axis)
         return Tensor._make(
             data, tensors, _concatenate_backward, (tuple(tensors), tuple(offsets), axis)
         )
@@ -491,7 +495,7 @@ class Tensor:
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-        data = B.stack([t.data for t in tensors], axis=axis)
+        data = np.stack([t.data for t in tensors], axis=axis)
         return Tensor._make(data, tensors, _stack_backward, (tuple(tensors), axis))
 
 
@@ -533,22 +537,22 @@ def _neg_backward(grad, a):
 
 def _pow_backward(grad, a, exponent):
     if a.requires_grad:
-        a._accumulate(grad * exponent * B.power(a.data, exponent - 1.0))
+        a._accumulate(grad * exponent * np.power(a.data, exponent - 1.0))
 
 
 def _matmul_backward(grad, a, b):
     if a.requires_grad:
         if b.data.ndim == 1:
             a._accumulate(
-                B.outer(grad, b.data) if grad.ndim == 1 else grad[..., None] * b.data
+                np.outer(grad, b.data) if grad.ndim == 1 else grad[..., None] * b.data
             )
         else:
-            a._accumulate(B.matmul(grad, b.data.swapaxes(-1, -2)))
+            a._accumulate(np.matmul(grad, b.data.swapaxes(-1, -2)))
     if b.requires_grad:
         if a.data.ndim == 1:
-            b._accumulate(B.outer(a.data, grad))
+            b._accumulate(np.outer(a.data, grad))
         else:
-            b._accumulate(B.matmul(a.data.swapaxes(-1, -2), grad))
+            b._accumulate(np.matmul(a.data.swapaxes(-1, -2), grad))
 
 
 def _sum_backward(grad, a, axis, keepdims):
@@ -556,8 +560,8 @@ def _sum_backward(grad, a, axis, keepdims):
         return
     g = grad
     if axis is not None and not keepdims:
-        g = B.expand_dims(g, axis=axis)
-    a._accumulate(B.broadcast_to(g, a.data.shape))
+        g = np.expand_dims(g, axis=axis)
+    a._accumulate(np.broadcast_to(g, a.data.shape))
 
 
 def _mean_backward(grad, a, axis, keepdims, count):
@@ -565,8 +569,8 @@ def _mean_backward(grad, a, axis, keepdims, count):
         return
     g = grad
     if axis is not None and not keepdims:
-        g = B.expand_dims(g, axis=axis)
-    a._accumulate(B.broadcast_to(g, a.data.shape) / count)
+        g = np.expand_dims(g, axis=axis)
+    a._accumulate(np.broadcast_to(g, a.data.shape) / count)
 
 
 def _extremum_backward(grad, a, axis, keepdims, out_data):
@@ -575,14 +579,14 @@ def _extremum_backward(grad, a, axis, keepdims, out_data):
     g = grad
     out = out_data
     if axis is not None and not keepdims:
-        g = B.expand_dims(g, axis=axis)
-        out = B.expand_dims(out, axis=axis)
-    mask = B.as_float(a.data == out)
+        g = np.expand_dims(g, axis=axis)
+        out = np.expand_dims(out, axis=axis)
+    mask = np.asarray(a.data == out).astype(TRAINING_DTYPE)
     # Split gradient equally among ties to keep the operator linear.
-    mask /= B.maximum(
+    mask /= np.maximum(
         mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum(), 1.0
     )
-    a._accumulate(B.broadcast_to(g, a.data.shape) * mask)
+    a._accumulate(np.broadcast_to(g, a.data.shape) * mask)
 
 
 def _where_backward(grad, condition, a, b):
@@ -616,7 +620,7 @@ def _sqrt_backward(grad, a, out_data):
 
 def _abs_backward(grad, a):
     if a.requires_grad:
-        a._accumulate(grad * B.sign(a.data))
+        a._accumulate(grad * np.sign(a.data))
 
 
 def _tanh_backward(grad, a, out_data):
@@ -650,7 +654,7 @@ def _softmax_backward(grad, a, out_data, axis):
 def _logsumexp_backward(grad, a, softmax, axis, keepdims):
     if not a.requires_grad:
         return
-    g = grad if keepdims else B.expand_dims(grad, axis=axis)
+    g = grad if keepdims else np.expand_dims(grad, axis=axis)
     a._accumulate(g * softmax)
 
 
@@ -666,8 +670,8 @@ def _transpose_backward(grad, a):
 
 def _getitem_backward(grad, a, index):
     if a.requires_grad:
-        full = B.zeros_like(a.data)
-        B.index_add(full, index, grad)
+        full = np.zeros_like(a.data)
+        np.add.at(full, index, grad)
         a._accumulate(full)
 
 
@@ -682,4 +686,4 @@ def _concatenate_backward(grad, tensors, offsets, axis):
 def _stack_backward(grad, tensors, axis):
     for i, tensor in enumerate(tensors):
         if tensor.requires_grad:
-            tensor._accumulate(B.take(grad, i, axis=axis))
+            tensor._accumulate(np.take(grad, i, axis=axis))

@@ -1,23 +1,18 @@
-"""Pluggable numeric backend with an explicit dtype policy.
+"""Numpy serving kernels and the explicit dtype policy.
 
-This package is the execution substrate underneath :mod:`repro.autodiff`
-(and, by extension, every model in the repository). It separates *what*
-array math is performed from *how*:
+The autodiff engine and the compiled inference plans call numpy
+directly; this package holds the two things they share:
 
-- :mod:`repro.backend.ops` — the backend-agnostic op surface the
-  autodiff engine calls (``from repro.backend import ops as B``);
-- :mod:`repro.backend.registry` — named backends, one active at a time
-  (:func:`register_backend`, :func:`set_backend`, :func:`use_backend`);
-- :mod:`repro.backend.numpy_backend` — the reference implementation;
-- :mod:`repro.backend.tiled` — a cache-blocked, sparsity-aware backend
-  (threaded row tiles, one-hot gather kernel) registered as ``"tiled"``;
+- :mod:`repro.backend.kernels` — the in-place activation kernels and the
+  fused Dense+activation step the compiled inference plan runs;
 - :mod:`repro.backend.policy` — the dtype policy: training/grad checks
   are pinned to ``float64``, inference may opt into ``float32``
   (:func:`inference_precision`, or the ``dtype=`` argument on the
   compiled-inference entry points in :mod:`repro.nn`).
 """
 
-from repro.backend.numpy_backend import NumpyBackend
+from types import SimpleNamespace
+
 from repro.backend.policy import (
     TRAINING_DTYPE,
     inference_dtype,
@@ -26,31 +21,22 @@ from repro.backend.policy import (
     set_inference_dtype,
     training_dtype,
 )
-from repro.backend.registry import (
-    active_backend,
-    backend_names,
-    get_backend,
-    register_backend,
-    set_backend,
-    use_backend,
-)
-from repro.backend.tiled import TiledBackend
 
-register_backend("tiled", TiledBackend())
+
+def active_backend():
+    """Name the array library (always numpy) for ``perfbench/run.py``.
+
+    That script records it in each run's environment block and is its
+    only caller; nothing in the package uses it.
+    """
+    return SimpleNamespace(name="numpy")
+
 
 __all__ = [
-    "NumpyBackend",
-    "TiledBackend",
     "TRAINING_DTYPE",
-    "active_backend",
-    "backend_names",
-    "get_backend",
     "inference_dtype",
     "inference_precision",
-    "register_backend",
     "resolve_dtype",
-    "set_backend",
     "set_inference_dtype",
     "training_dtype",
-    "use_backend",
 ]

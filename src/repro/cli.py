@@ -130,13 +130,6 @@ def cmd_compare(args) -> int:
 
 def cmd_telemetry(args) -> int:
     """Profile one fit + serve cycle and print the telemetry dashboard."""
-    from repro.backend import use_backend
-
-    with use_backend(args.backend):
-        return _telemetry_under_backend(args)
-
-
-def _telemetry_under_backend(args) -> int:
     import numpy as np
 
     from repro.obs import TelemetryRegistry, dump_json, render_dashboard
@@ -293,13 +286,6 @@ def _parse_batch_mix(text: str):
 
 def cmd_serve_bench(args) -> int:
     """Replay open-loop traffic against the serving daemon vs single-process."""
-    from repro.backend import use_backend
-
-    with use_backend(args.backend):
-        return _serve_bench_under_backend(args)
-
-
-def _serve_bench_under_backend(args) -> int:
     import numpy as np
 
     from repro.serving.daemon import ServingDaemon
@@ -349,7 +335,6 @@ def _serve_bench_under_backend(args) -> int:
     if args.json:
         payload = {
             "workload": spec.name,
-            "backend": args.backend,
             "single": single.to_dict(),
             "daemon": result.to_dict(),
             "daemon_speedup_vs_single": round(speedup, 2),
@@ -499,9 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tel.add_argument("--batches", type=int, default=4,
                        help="serving batches the test split is processed in")
     p_tel.add_argument("--json", help="also dump the telemetry snapshot as JSON")
-    p_tel.add_argument("--backend", default="numpy",
-                       help="execution backend to profile under "
-                       "(a repro.backend registry name, e.g. 'tiled')")
     p_tel.set_defaults(func=cmd_telemetry)
 
     p_res = sub.add_parser(
@@ -571,10 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--min-batch-rows", type=int, default=64,
                        help="adaptive micro-batching floor (rows)")
     p_srv.add_argument("--json", help="write the replay results as JSON")
-    p_srv.add_argument("--backend", default="numpy",
-                       help="execution backend for scoring, parent and "
-                       "workers alike (a repro.backend registry name, "
-                       "e.g. 'tiled')")
     p_srv.set_defaults(func=cmd_serve_bench)
 
     p_lc = sub.add_parser(

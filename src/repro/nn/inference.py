@@ -13,12 +13,11 @@ no ``no_grad`` juggling.
 Three layers of the serving fast path live here:
 
 - **Fused Dense+activation steps.** By default each ``Dense`` and the
-  activation that follows it compile into one fused kernel dispatched
-  through :func:`repro.backend.ops.fused_dense_act` (so a second backend
-  can substitute its own implementation): matmul, bias add, and the
-  nonlinearity execute per row tile into a preallocated output buffer.
-  Fused results agree with the unfused sequence to atol 1e-12; the
-  escape hatch is :func:`disable_fused_kernels` (or
+  activation that follows it compile into one call of
+  :func:`repro.backend.kernels.fused_dense_act`: matmul, bias add, and
+  the nonlinearity execute per row tile into a preallocated output
+  buffer. Fused results agree with the unfused sequence to atol 1e-12;
+  the escape hatch is :func:`disable_fused_kernels` (or
   ``compile_inference(..., fused=False)``), which restores the unfused
   op-for-op replay of the graph forward — **bitwise** identical at
   float64.
@@ -67,9 +66,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import ops as B
-from repro.backend.numpy_backend import INPLACE_ACTIVATIONS
-from repro.backend.registry import active_backend
+from repro.backend.kernels import INPLACE_ACTIVATIONS, fused_dense_act
 from repro.backend.policy import DtypeLike, resolve_dtype
 from repro.nn.layers import Activation, Dense, Module, Sequential
 from repro.nn.regularization import Dropout
@@ -123,7 +120,7 @@ _FUSED_POLICY = _FusedPolicy()
 
 def fused_kernels_enabled() -> bool:
     """Whether newly compiled plans in this thread fuse Dense+activation."""
-    return _FUSED_POLICY.enabled and B.supports_fused_dense_act()
+    return _FUSED_POLICY.enabled
 
 
 @contextlib.contextmanager
@@ -143,12 +140,6 @@ def disable_fused_kernels() -> Iterator[None]:
     finally:
         _FUSED_POLICY.enabled = previous
 
-
-# -- activation kernels -------------------------------------------------
-# The in-place kernels live in repro.backend.numpy_backend (the fused
-# Dense+activation kernel shares them); the unfused compiled path calls
-# them directly so its float64 op sequence mirrors the graph exactly.
-_KERNELS = INPLACE_ACTIVATIONS
 
 _DENSE = 0
 _ACT = 1
@@ -296,7 +287,7 @@ class CompiledInference:
                     target += bias
             else:  # _FUSED
                 _, act_name, weight, bias = step
-                B.fused_dense_act(current, weight, bias, act_name, target)
+                fused_dense_act(current, weight, bias, act_name, target)
             current = target
             owns_current = True
         return current
@@ -330,7 +321,7 @@ def _compile_with_meta(
             out_dim = int(leaf.out_features)
             steps.append((_DENSE, None, weight, bias))
         elif isinstance(leaf, Activation):
-            kernel = _KERNELS.get(leaf.name, _MISSING)
+            kernel = INPLACE_ACTIVATIONS.get(leaf.name, _MISSING)
             if kernel is _MISSING:
                 raise NotCompilableError(
                     f"activation {leaf.name!r} has no compiled kernel"
@@ -369,8 +360,8 @@ def compile_inference(
         captured by reference at float64 and cast once at float32.
     fused:
         ``None`` (default) — fuse each Dense with its following
-        activation into one backend kernel when the active backend
-        supports it and :func:`disable_fused_kernels` is not in effect;
+        activation into one kernel call unless
+        :func:`disable_fused_kernels` is in effect;
         ``True``/``False`` force the choice. Unfused plans replay the
         graph's float64 op sequence bitwise; fused plans agree to
         atol 1e-12.
@@ -384,7 +375,7 @@ def compile_inference(
     """
     resolved = resolve_dtype(dtype)
     if fused is None:
-        fused = fused_kernels_enabled()
+        fused = _FUSED_POLICY.enabled
     plan, _, _, _ = _compile_with_meta(module, resolved, bool(fused))
     return plan
 
@@ -497,13 +488,10 @@ def cached_inference(
     The fast path for repeated serving calls against frozen weights: a
     cache hit is two tuple comparisons — no tree walk, no buffer
     allocation. The key is the tuple of parameter-array ``id()``\\ s
-    plus the dtype, fused flag, and the active backend's name —
-    different backends compile to different fused kernels, so switching
-    backends mid-process recompiles rather than replaying another
-    backend's plan (the regression suite pins this). Optimizers rebind
-    ``param.data`` on every step, so any weight update also changes the
-    key and forces a recompile. Plans are cached per-thread because
-    they own mutable scratch buffers.
+    plus the dtype and fused flag. Optimizers rebind ``param.data`` on
+    every step, so any weight update also changes the key and forces a
+    recompile. Plans are cached per-thread because they own mutable
+    scratch buffers.
 
     Raises :class:`NotCompilableError` exactly like
     :func:`compile_inference` (e.g. training-mode dropout), leaving any
@@ -511,8 +499,8 @@ def cached_inference(
     """
     resolved = resolve_dtype(dtype)
     if fused is None:
-        fused = fused_kernels_enabled()
-    key = (resolved.str, bool(fused), getattr(active_backend(), "name", "numpy"))
+        fused = _FUSED_POLICY.enabled
+    key = (resolved.str, bool(fused))
     try:
         bucket = _PLAN_CACHE.modules.setdefault(module, {})
     except TypeError:  # unhashable/non-weakrefable module: compile fresh

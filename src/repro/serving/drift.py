@@ -115,13 +115,15 @@ class DriftMonitor:
         reference/batch sizes in the hundreds, 0.15-0.25 is a practical
         band (the asymptotic 95% critical value is ``1.36·sqrt(1/na+1/nb)``).
     max_reference:
-        Reference subsample size kept per feature.
+        Reference subsample size kept per feature (at least 1).
     """
 
     def __init__(self, threshold: float = 0.2, max_reference: int = 2000,
                  random_state: Optional[int] = None):
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
+        if max_reference < 1:
+            raise ValueError("max_reference must be at least 1")
         self.threshold = threshold
         self.max_reference = max_reference
         self.random_state = random_state

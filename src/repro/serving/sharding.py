@@ -2,9 +2,8 @@
 
 :class:`ScoringSpec` captures what a worker process needs to score rows
 exactly like ``TargAD.score_batch``: the fitted network's dense weights
-and activation names, the (m, k) head split, the *calibrated* OOD
-strategy, and the name of the execution backend it was built under.
-:func:`build_scoring_spec` extracts one from a fitted model.
+and activation names, the (m, k) head split and the *calibrated* OOD
+strategy. :func:`build_scoring_spec` extracts one from a fitted model.
 
 The :class:`~repro.serving.daemon.ServingDaemon` holds a spec resident
 in each worker, and the pipeline's hot-swap pushes a fresh one through
@@ -36,10 +35,7 @@ class ScoringSpec:
     entries (float64 arrays; ``bias`` may be ``None``) interleaved with
     ``("act", name)`` entries, in execution order. ``strategy`` is the
     already-calibrated OOD strategy object (plain picklable floats
-    inside), so workers never need calibration data. ``backend`` names
-    the execution backend the spec was built under; workers activate it
-    by name around scoring, so a parent running ``use_backend("tiled")``
-    gets tiled kernels in every worker process too.
+    inside), so workers never need calibration data.
     """
 
     layers: List[tuple]
@@ -47,7 +43,6 @@ class ScoringSpec:
     k: int
     strategy: object
     batch_size: int = 4096
-    backend: str = "numpy"
 
     def build_network(self) -> Sequential:
         """Reconstruct the module tree; weights are rebound, not copied."""
@@ -70,17 +65,12 @@ class ScoringSpec:
         """Score rows exactly like ``TargAD.score_batch`` does.
 
         Same forward path (compiled, cached), same softmax / Eq. 9 /
-        tri-class routing functions — float64-identical to the parent
-        when the spec's backend matches (the backend's published
-        ``parity_atol`` otherwise bounds the difference).
+        tri-class routing functions — float64-identical to the parent.
         """
-        from repro.backend import use_backend
-
-        with use_backend(self.backend):
-            logits = forward_in_batches(network, X, batch_size=self.batch_size)
-            probs = softmax(logits)
-            scores = target_anomaly_score(probs, self.m)
-            routing = route_from_logits(logits, probs, self.m, self.k, self.strategy)
+        logits = forward_in_batches(network, X, batch_size=self.batch_size)
+        probs = softmax(logits)
+        scores = target_anomaly_score(probs, self.m)
+        routing = route_from_logits(logits, probs, self.m, self.k, self.strategy)
         return scores, routing
 
 
@@ -95,7 +85,6 @@ def build_scoring_spec(model, strategy: str = "ed") -> ScoringSpec:
     executor unavailable", since the single-process path defers that
     failure until an anomalous row actually appears.
     """
-    from repro.backend import active_backend
     from repro.nn.inference import NotCompilableError, _collect
 
     model._check_fitted()
@@ -119,5 +108,4 @@ def build_scoring_spec(model, strategy: str = "ed") -> ScoringSpec:
         m=model.m_,
         k=model.k_,
         strategy=fitted,
-        backend=getattr(active_backend(), "name", "numpy"),
     )

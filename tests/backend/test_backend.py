@@ -1,76 +1,19 @@
-"""Backend registry, dtype policy, and autodiff-isolation guarantees."""
+"""The dtype policy: float64 training, opt-in per-thread float32 inference."""
 
-import pathlib
 import threading
 
 import numpy as np
 import pytest
 
+from repro.autodiff import Tensor
 from repro.backend import (
-    NumpyBackend,
     TRAINING_DTYPE,
-    active_backend,
-    backend_names,
-    get_backend,
     inference_dtype,
     inference_precision,
-    register_backend,
     resolve_dtype,
-    set_backend,
     set_inference_dtype,
     training_dtype,
-    use_backend,
 )
-from repro.backend import ops as B
-
-
-class TestRegistry:
-    def test_numpy_backend_registered_and_active(self):
-        assert "numpy" in backend_names()
-        assert isinstance(active_backend(), NumpyBackend)
-        assert get_backend("numpy") is active_backend()
-
-    def test_get_backend_unknown_name_raises(self):
-        with pytest.raises(KeyError, match="no backend named"):
-            get_backend("tpu")
-
-    def test_set_backend_unknown_name_raises(self):
-        with pytest.raises(KeyError, match="no backend named"):
-            set_backend("tpu")
-
-    def test_register_and_use_backend_restores_previous(self):
-        class Traced(NumpyBackend):
-            def __init__(self):
-                self.exp_calls = 0
-
-            def exp(self, x):
-                self.exp_calls += 1
-                return super().exp(x)
-
-        traced = Traced()
-        register_backend("traced-test", traced)
-        previous = active_backend()
-        assert active_backend() is previous  # registering does not activate
-        with use_backend("traced-test"):
-            assert active_backend() is traced
-            B.exp(np.zeros(3))
-        assert traced.exp_calls == 1
-        assert active_backend() is previous
-
-    def test_use_backend_restores_on_error(self):
-        previous = active_backend()
-        with pytest.raises(RuntimeError):
-            with use_backend("numpy"):
-                raise RuntimeError("boom")
-        assert active_backend() is previous
-
-    def test_ops_dispatch_through_active_backend(self):
-        x = np.array([1.0, 4.0, 9.0])
-        np.testing.assert_array_equal(B.sqrt(x), np.sqrt(x))
-        out = np.empty((2, 2))
-        a = np.eye(2)
-        res = B.matmul(a, a, out=out)
-        assert res is out
 
 
 class TestDtypePolicy:
@@ -124,35 +67,6 @@ class TestDtypePolicy:
         assert seen["after"] == np.dtype(np.float64)
 
     def test_asarray_honours_training_dtype_default(self):
-        arr = active_backend().asarray([[1, 2], [3, 4]])
-        assert arr.dtype == TRAINING_DTYPE
+        assert Tensor([[1, 2], [3, 4]]).data.dtype == TRAINING_DTYPE
+        assert Tensor(np.ones(3, dtype=np.float32)).data.dtype == TRAINING_DTYPE
 
-
-class TestAutodiffIsolation:
-    """The tensor module must route every array op through the backend."""
-
-    def test_tensor_module_has_no_direct_numpy_usage(self):
-        src_dir = pathlib.Path(__file__).resolve().parents[2] / "src"
-        source = (src_dir / "repro" / "autodiff" / "tensor.py").read_text()
-        assert "import numpy" not in source
-        assert "np." not in source
-
-    def test_tensor_ops_hit_backend(self):
-        from repro.autodiff import Tensor
-
-        class Counting(NumpyBackend):
-            def __init__(self):
-                self.calls = 0
-
-            def matmul(self, a, b, out=None):
-                self.calls += 1
-                return super().matmul(a, b, out=out)
-
-        counting = Counting()
-        register_backend("counting-test", counting)
-        with use_backend("counting-test"):
-            a = Tensor(np.ones((2, 3)), requires_grad=True)
-            b = Tensor(np.ones((3, 2)), requires_grad=True)
-            (a @ b).sum().backward()
-        # Forward matmul plus the two backward matmuls.
-        assert counting.calls == 3

@@ -57,6 +57,27 @@ def test_compiled_matches_graph_bitwise_float64(arch, rows):
     np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
+def make_onehot_batch(rng, rows, n_dense=20, blocks=(60, 30)):
+    """A batch in the SQB one-hot regime: dense prefix + one-hot blocks."""
+    X = np.zeros((rows, n_dense + sum(blocks)))
+    X[:, :n_dense] = rng.normal(size=(rows, n_dense))
+    off = n_dense
+    for b in blocks:
+        X[np.arange(rows), off + rng.integers(0, b, size=rows)] = 1.0
+        off += b
+    return X
+
+
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
+def test_compiled_matches_graph_bitwise_onehot_inputs(fused):
+    """Mostly-zero one-hot batches replay the graph bitwise as well."""
+    rng = np.random.default_rng(17)
+    X = make_onehot_batch(rng, rows=512)
+    model = mlp([X.shape[1], 64, 32, 5], activation="relu", rng=rng)
+    got = compile_inference(model, fused=fused)(X)
+    np.testing.assert_array_equal(got, graph_forward(model, X))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(st.integers(1, 6), min_size=1, max_size=2),

@@ -1,11 +1,10 @@
-"""Fused Dense+activation kernels: parity, tiling, and backend dispatch.
+"""Fused Dense+activation kernels: parity, tiling, and the out= contract.
 
 The contract under test: fused plans agree with the unfused op-for-op
 replay (and the graph engine) to atol 1e-12 at float64 — including
 batches large enough to cross the row-tile boundary — while
-``disable_fused_kernels`` restores exact bitwise parity; the ``out=``
-destination contract holds; and a backend without a fused kernel makes
-compilation fall back to unfused automatically.
+``disable_fused_kernels`` restores exact bitwise parity; and the ``out=``
+destination contract holds.
 """
 
 import numpy as np
@@ -14,9 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autodiff import Tensor, no_grad
-from repro.backend import ops as B
-from repro.backend.numpy_backend import FUSE_TILE_ROWS, NumpyBackend
-from repro.backend.registry import backend_names, register_backend, use_backend
+from repro.backend.kernels import FUSE_TILE_ROWS, fused_dense_act
 from repro.nn import compile_inference, disable_fused_kernels, fused_kernels_enabled
 from repro.nn.layers import mlp
 
@@ -77,7 +74,6 @@ def test_disable_fused_kernels_restores_bitwise_parity():
 
 
 def test_fused_is_the_default_when_backend_supports_it():
-    assert B.supports_fused_dense_act()
     assert fused_kernels_enabled()
     model = mlp([4, 3], rng=np.random.default_rng(0))
     assert compile_inference(model).fused
@@ -104,79 +100,19 @@ def test_out_destination_contract():
         plan(X, out=np.empty((10, 4), dtype=np.float32))
 
 
-class _UnfusedBackend(NumpyBackend):
-    """A backend that opts out of the fused kernel."""
-
-    name = "unfused-test"
-    fused_dense_act = None
-
-
-def test_backend_without_fused_kernel_compiles_unfused():
-    rng = np.random.default_rng(5)
-    model = mlp([5, 6, 3], activation="sigmoid", rng=rng)
-    X = rng.normal(size=(8, 5))
-    with disable_fused_kernels():
-        reference = compile_inference(model)(X)
-    if _UnfusedBackend.name not in backend_names():
-        register_backend(_UnfusedBackend.name, _UnfusedBackend())
-    with use_backend(_UnfusedBackend.name):
-        assert not B.supports_fused_dense_act()
-        assert not fused_kernels_enabled()
-        plan = compile_inference(model)
-        assert not plan.fused
-        np.testing.assert_array_equal(plan(X), reference)
-
-
-class _RaisingBackend(NumpyBackend):
-    """A backend whose fused kernel always fails."""
-
-    name = "raising-test"
-
-    def fused_dense_act(self, x, weight, bias, activation, out):
-        raise ValueError("kernel exploded")
-
-
-def test_raising_fused_kernel_surfaces_backend_kernel_error():
-    """A kernel failure must name the backend, not look like a plan bug."""
-    from repro.backend.ops import BackendKernelError
-
-    if _RaisingBackend.name not in backend_names():
-        register_backend(_RaisingBackend.name, _RaisingBackend())
-    X = np.ones((4, 3))
-    W = np.ones((3, 2))
-    out = np.empty((4, 2))
-    with use_backend(_RaisingBackend.name):
-        with pytest.raises(BackendKernelError, match="raising-test") as info:
-            B.fused_dense_act(X, W, None, "relu", out)
-    assert isinstance(info.value.__cause__, ValueError)
-    assert "relu" in str(info.value)
-
-
-def test_opted_out_backend_is_bitwise_identical_to_default_unfused():
-    """The opt-out stub's plans replay the unfused sequence bit-for-bit."""
-    rng = np.random.default_rng(21)
-    model = mlp([7, 9, 4], activation="relu", rng=rng)
-    X = rng.normal(size=(33, 7))
-    reference = compile_inference(model, fused=False)(X)
-    if _UnfusedBackend.name not in backend_names():
-        register_backend(_UnfusedBackend.name, _UnfusedBackend())
-    with use_backend(_UnfusedBackend.name):
-        np.testing.assert_array_equal(compile_inference(model)(X), reference)
-
-
 def test_fused_dense_act_kernel_direct():
-    """The backend op itself: matmul + bias + activation into ``out``."""
+    """The kernel itself: matmul + bias + activation into ``out``."""
     rng = np.random.default_rng(13)
     X = rng.normal(size=(600, 8))  # 600 > 2 * FUSE_TILE_ROWS: tiled path
     W = rng.normal(size=(8, 5))
     b = rng.normal(size=5)
     out = np.empty((600, 5))
-    returned = B.fused_dense_act(X, W, b, "relu", out)
+    returned = fused_dense_act(X, W, b, "relu", out)
     assert returned is out
     np.testing.assert_allclose(
         out, np.maximum(X @ W + b, 0.0), atol=1e-12, rtol=0
     )
     # Bias-free and linear (activation=None) paths.
     out2 = np.empty((600, 5))
-    B.fused_dense_act(X, W, None, None, out2)
+    fused_dense_act(X, W, None, None, out2)
     np.testing.assert_allclose(out2, X @ W, atol=1e-12, rtol=0)

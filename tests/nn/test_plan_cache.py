@@ -107,24 +107,6 @@ def test_dtype_and_fused_variants_are_distinct_slots():
     assert cached_inference(model) is base
 
 
-def test_backend_switch_forces_recompile():
-    """Switching backends mid-process must not replay another backend's plan."""
-    from repro.backend import use_backend
-
-    model = make_model()
-    X = np.random.default_rng(4).normal(size=(5, 6))
-    base = cached_inference(model)
-    with use_backend("tiled"):
-        tiled = cached_inference(model)
-        assert tiled is not base
-        # The tiled slot is its own cache entry: a second lookup hits it.
-        assert cached_inference(model) is tiled
-    # Switching back re-hits the original slot, and both plans agree on
-    # the numpy-vs-tiled parity contract for dense inputs (bitwise).
-    assert cached_inference(model) is base
-    np.testing.assert_array_equal(base(X), tiled(X))
-
-
 def test_clear_plan_cache_drops_entries():
     model = make_model()
     plan = cached_inference(model)

@@ -62,6 +62,12 @@ class TestDriftMonitor:
         with pytest.raises(ValueError):
             DriftMonitor(threshold=0.0)
 
+    @pytest.mark.parametrize("max_reference", [0, -1])
+    def test_invalid_max_reference(self, max_reference):
+        # An empty reference would skip every feature and never report drift.
+        with pytest.raises(ValueError, match="max_reference"):
+            DriftMonitor(max_reference=max_reference)
+
 
 class TestRobustness:
     """Degenerate references and hostile batches must not raise or

@@ -170,30 +170,6 @@ class TestBitwiseParity:
         assert_batches_equal(got, fresh_b.process(X))
 
 
-class TestBackendConformance:
-    """Executors inherit the active backend by name into their workers."""
-
-    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
-    def test_score_under_tiled_backend_matches_inline(self, kind, fitted):
-        from repro.backend import use_backend
-
-        model, split = fitted
-        with use_backend("tiled"):
-            with executor_of(kind, model) as executor:
-                scores, routing = executor.score(split.X_test)
-            exp_s, exp_r = model.score_batch(split.X_test, strategy="ed")
-        np.testing.assert_array_equal(scores, exp_s)
-        np.testing.assert_array_equal(routing, exp_r)
-
-    def test_spec_records_active_backend(self, fitted):
-        from repro.backend import use_backend
-
-        model, _ = fitted
-        assert build_scoring_spec(model, "ed").backend == "numpy"
-        with use_backend("tiled"):
-            assert build_scoring_spec(model, "ed").backend == "tiled"
-
-
 class TestUpdateSpecVisibility:
     @pytest.mark.parametrize("kind", WORKER_KINDS)
     def test_new_spec_visible_to_workers(self, kind, fitted, model_b):

@@ -34,7 +34,6 @@ def test_bench_inference_keeps_foreign_sections(tmp_path, monkeypatch):
         "results": [],
         "serving_speedup_compiled_vs_graph": 3.0,
         "serving_speedup_f32_vs_graph": 4.0,
-        "tiled_speedup_vs_numpy_max": 1.1,
     }
     monkeypatch.setattr(bench, "run", lambda repeats: dict(fresh))
     monkeypatch.setattr(sys, "argv", ["bench_inference.py", "--out", str(out)])

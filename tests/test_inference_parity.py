@@ -64,45 +64,6 @@ class TestTargADParity:
         np.testing.assert_array_equal(routing, model.predict_triclass(X))
 
 
-class TestTargADParityUnderTiledBackend:
-    """The same end-to-end contract holds under ``use_backend("tiled")``.
-
-    The dense batches here never trigger the tiled sparse path, so the
-    documented tolerance is the backend's ``parity_atol`` (1e-9); the
-    routing decision must be identical either way.
-    """
-
-    def test_scores_and_routing(self, fitted):
-        from repro.backend import use_backend
-
-        model, split = fitted
-        X = split.X_test
-        with force_graph_forward():
-            logits_g = model.logits(X)
-        scores_n, routing_n = model.score_batch(X)
-        with use_backend("tiled"):
-            np.testing.assert_allclose(model.logits(X), logits_g, atol=ATOL)
-            scores_t, routing_t = model.score_batch(X)
-        np.testing.assert_allclose(scores_t, scores_n, atol=ATOL)
-        np.testing.assert_array_equal(routing_t, routing_n)
-
-    def test_pipeline_process_under_tiled(self, fitted):
-        from repro.backend import use_backend
-
-        model, split = fitted
-        pipe_n = ScoringPipeline(model, policy="budget", review_budget=10,
-                                 monitor_drift=False)
-        pipe_n.calibrate(split.X_val)
-        want = pipe_n.process(split.X_test)
-        with use_backend("tiled"):
-            pipe_t = ScoringPipeline(model, policy="budget", review_budget=10,
-                                     monitor_drift=False)
-            pipe_t.calibrate(split.X_val)
-            got = pipe_t.process(split.X_test)
-        np.testing.assert_allclose(got.scores, want.scores, atol=ATOL)
-        np.testing.assert_array_equal(got.routing, want.routing)
-
-
 class TestSelectorAndFallbackParity:
     def test_candidate_selector_reconstruction_error(self, fitted):
         model, split = fitted
@@ -159,7 +120,7 @@ class TestServingIsGraphFree:
 
 
 class TestBaselineParity:
-    """Every neural baseline's decision_function is backend-compiled."""
+    """Every neural baseline's decision_function runs on the compiled plan."""
 
     @pytest.fixture(scope="class")
     def workload(self, blobs):
