@@ -6,8 +6,8 @@ read path in the repository uses — for two workloads:
 - ``classifier_head`` — the TargAD classifier MLP that scores every
   serving batch (``score_batch``/``decision_function``). This is the
   primary serving workload and the headline number.
-- ``autoencoder_fallback`` — the fused candidate-selection autoencoder
-  the degraded fallback scores with. Its wider matmuls are BLAS-bound,
+- ``autoencoder_fallback`` — the candidate-selection autoencoder (encoder
+  and decoder as one plan) the degraded fallback scores with. Its wider matmuls are BLAS-bound,
   so the compiled path's allocation savings matter less.
 
 Three variants per forward workload, interleaved inside a single timing
@@ -60,7 +60,7 @@ ROWS = 16384
 WORKLOADS = {
     # TargAD classifier head: features -> m + k logits (Eq. 9 inputs).
     "classifier_head": [32, 64, 32, 5],
-    # Candidate-selection AE, encoder+decoder fused (Eq. 2 read path).
+    # Candidate-selection AE, encoder+decoder as one plan (Eq. 2 read path).
     "autoencoder_fallback": [32, 64, 16, 64, 32],
 }
 
@@ -173,8 +173,8 @@ def main() -> None:
     for row in payload["results"]:
         print(
             f"  {row['workload']:>20} rows={row['rows']:<6} "
-            f"graph={row['graph_rows_per_sec']:>12,.0f} r/s  "
-            f"compiled={row['compiled_rows_per_sec']:>12,.0f} r/s  "
+            f"graph {row['graph_rows_per_sec']:>12,.0f} r/s  "
+            f"compiled {row['compiled_rows_per_sec']:>12,.0f} r/s  "
             f"({row['speedup_compiled_vs_graph']}x, "
             f"f32 {row['speedup_f32_vs_graph']}x)"
         )

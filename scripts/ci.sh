@@ -9,7 +9,7 @@
 #   scripts/ci.sh daemon   # serving daemon + shm ring suites + replay smoke
 #   scripts/ci.sh executor # executor conformance suite (2-worker daemons)
 #   scripts/ci.sh lifecycle # drift-triggered refit + hot-swap suites + CLI smoke
-#   scripts/ci.sh backend  # dtype policy, fused kernels, plan cache, end-to-end parity
+#   scripts/ci.sh backend  # dtype policy, compiled-plan conformance, plan cache, end-to-end parity
 #   scripts/ci.sh bench    # inference throughput benchmark (non-gating)
 #
 # The tier-1 gate is the canonical `PYTHONPATH=src python -m pytest -x -q`
@@ -93,12 +93,12 @@ run_lifecycle() {
 run_backend() {
     # The numeric-kernel lane: the dtype policy (float64 training,
     # opt-in per-thread float32 inference), compiled-vs-graph parity on
-    # dense and one-hot batches, the fused Dense+activation kernel suite,
-    # the weight-keyed plan cache, and the end-to-end parity suite over
-    # TargAD and the baselines.
-    echo '== backend lane: dtype policy, fused kernels, plan cache, parity =='
+    # dense and one-hot batches up to 2048 rows, the out= contract, the
+    # compiled-plan conformance cases, the weight-keyed plan cache, and
+    # the end-to-end parity suite over TargAD and the baselines.
+    echo '== backend lane: dtype policy, compiled-plan conformance, plan cache, parity =='
     python -m pytest -x -q tests/backend tests/nn/test_compile_inference.py \
-        tests/nn/test_fused_kernels.py tests/nn/test_plan_cache.py \
+        tests/nn/test_backend_conformance.py tests/nn/test_plan_cache.py \
         tests/test_inference_parity.py
 }
 

@@ -1,14 +1,11 @@
-"""Numpy serving kernels and the explicit dtype policy.
+"""The explicit dtype policy.
 
 The autodiff engine and the compiled inference plans call numpy
-directly; this package holds the two things they share:
-
-- :mod:`repro.backend.kernels` — the in-place activation kernels and the
-  fused Dense+activation step the compiled inference plan runs;
-- :mod:`repro.backend.policy` — the dtype policy: training/grad checks
-  are pinned to ``float64``, inference may opt into ``float32``
-  (:func:`inference_precision`, or the ``dtype=`` argument on the
-  compiled-inference entry points in :mod:`repro.nn`).
+directly; this package holds the dtype policy they share
+(:mod:`repro.backend.policy`): training/grad checks are pinned to
+``float64``, inference may opt into ``float32``
+(:func:`inference_precision`, or the ``dtype=`` argument on the
+compiled-inference entry points in :mod:`repro.nn`).
 """
 
 from types import SimpleNamespace

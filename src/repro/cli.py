@@ -16,7 +16,7 @@ Subcommands::
 presets as :class:`repro.serving.ScoringPipeline`'s ``executor=``.
 ``repro serve-bench`` always replays against a plain
 :class:`repro.serving.ServingDaemon` and exposes that daemon's worker
-and adaptive micro-batching settings directly.
+count directly.
 
 Every command is deterministic under ``--seed``.
 """
@@ -317,8 +317,6 @@ def cmd_serve_bench(args) -> int:
     registry = TelemetryRegistry()
     scoring_spec = build_scoring_spec(model, args.strategy)
     with ServingDaemon(scoring_spec, n_workers=args.workers,
-                       adaptive_batch=args.adaptive_batch,
-                       min_batch_rows=args.min_batch_rows,
                        telemetry=registry) as daemon:
         daemon.score(X_pool[: min(64, len(X_pool))])
         result = replay_daemon(spec, schedule, X_pool, daemon)
@@ -547,11 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rows:weight pairs, comma-separated")
     p_srv.add_argument("--workers", type=int, default=1,
                        help="daemon worker processes")
-    p_srv.add_argument("--adaptive-batch", action="store_true",
-                       help="tune the coalescing ceiling from queue depth "
-                       "instead of a fixed max batch")
-    p_srv.add_argument("--min-batch-rows", type=int, default=64,
-                       help="adaptive micro-batching floor (rows)")
     p_srv.add_argument("--json", help="write the replay results as JSON")
     p_srv.set_defaults(func=cmd_serve_bench)
 

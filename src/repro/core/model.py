@@ -28,7 +28,12 @@ from repro.core.pseudo_labels import (
     ood_pseudo_label,
     target_pseudo_labels,
 )
-from repro.core.scoring import route_from_logits, softmax, target_anomaly_score
+from repro.core.scoring import (
+    route_from_logits,
+    score_and_route,
+    softmax,
+    target_anomaly_score,
+)
 from repro.core.weighting import initial_weights, update_weights
 from repro.nn.layers import Sequential, mlp
 from repro.nn.optimizers import Adam
@@ -696,11 +701,9 @@ class TargAD:
         half the forward work of calling the two methods separately,
         with identical results.
         """
-        logits = self.logits(X)
-        probs = softmax(logits)
-        scores = target_anomaly_score(probs, self.m_)
-        routing = self._route_from_logits(logits, probs, strategy)
-        return scores, routing
+        return score_and_route(
+            self.logits(X), self.m_, self.k_, lambda: self._get_strategy(strategy)
+        )
 
     def predict_target_class(self, X: np.ndarray) -> np.ndarray:
         """Most probable target-anomaly class (argmax over the first m dims)."""

@@ -53,10 +53,8 @@ def route_from_logits(
     ``strategy`` may also be a zero-argument callable returning one —
     it is invoked only when anomalous rows exist, which lets
     :class:`TargAD` defer strategy calibration until routing actually
-    needs it. Shared by :meth:`TargAD.predict_triclass`/``score_batch``
-    and the serving daemon's workers, which carry the fitted strategy in
-    their serialized scoring spec — one definition, identical routing
-    on both paths. Returns the kind codes of :mod:`repro.data.schema`
+    needs it. Shared by :meth:`TargAD.predict_triclass` and
+    :func:`score_and_route`. Returns the kind codes of :mod:`repro.data.schema`
     (0/1/2).
     """
     normal_mask = is_normal_rule(probs, m, k)
@@ -69,3 +67,17 @@ def route_from_logits(
         anomalous_idx = np.flatnonzero(anomalous)
         result[anomalous_idx[ood_mask]] = KIND_NONTARGET
     return result
+
+
+def score_and_route(logits: np.ndarray, m: int, k: int, strategy):
+    """Eq. 9 scores and the tri-class route from one set of logits.
+
+    The serving read path: :meth:`TargAD.score_batch` and the serving
+    daemon's workers (:meth:`~repro.serving.sharding.ScoringSpec.score`)
+    both call it, so the two paths share one definition and agree
+    bitwise. ``strategy`` is as in :func:`route_from_logits`. Returns
+    ``(scores, routing)``.
+    """
+    probs = softmax(logits)
+    scores = target_anomaly_score(probs, m)
+    return scores, route_from_logits(logits, probs, m, k, strategy)

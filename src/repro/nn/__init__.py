@@ -16,9 +16,7 @@ from repro.nn.inference import (
     clear_plan_cache,
     evict_plan,
     compile_inference,
-    disable_fused_kernels,
     force_graph_forward,
-    fused_kernels_enabled,
     plan_cache_stats,
     reset_plan_cache_stats,
 )
@@ -64,10 +62,8 @@ __all__ = [
     "clear_plan_cache",
     "evict_plan",
     "compile_inference",
-    "disable_fused_kernels",
     "force_graph_forward",
     "forward_in_batches",
-    "fused_kernels_enabled",
     "he_normal",
     "plan_cache_stats",
     "reset_plan_cache_stats",

@@ -103,8 +103,8 @@ class Autoencoder:
     def reconstruct(self, X: np.ndarray) -> np.ndarray:
         """Decoded reconstructions.
 
-        Runs encoder and decoder as a single fused compiled pass — one
-        sweep over the data with no intermediate latent round-trip.
+        Runs encoder and decoder as one compiled plan — one sweep over
+        the data with no intermediate latent round-trip.
         """
         self._check_fitted()
         return forward_in_batches(self._reconstructor(), np.asarray(X, dtype=np.float64))

@@ -10,17 +10,7 @@ would ever use. :func:`compile_inference` walks a module tree once
 numpy calls into preallocated buffers — no ``Tensor`` objects, no graph,
 no ``no_grad`` juggling.
 
-Three layers of the serving fast path live here:
-
-- **Fused Dense+activation steps.** By default each ``Dense`` and the
-  activation that follows it compile into one call of
-  :func:`repro.backend.kernels.fused_dense_act`: matmul, bias add, and
-  the nonlinearity execute per row tile into a preallocated output
-  buffer. Fused results agree with the unfused sequence to atol 1e-12;
-  the escape hatch is :func:`disable_fused_kernels` (or
-  ``compile_inference(..., fused=False)``), which restores the unfused
-  op-for-op replay of the graph forward — **bitwise** identical at
-  float64.
+Besides the plan itself, two pieces of the serving fast path live here:
 
 - **Destination writing.** The final dense segment of a plan writes
   straight into the caller-visible output array (``plan(X, out=...)``
@@ -41,9 +31,9 @@ Three layers of the serving fast path live here:
   process-wide counters readable via :func:`plan_cache_stats`.
 
 The numeric contract: at ``float64`` (the default, per the
-:mod:`repro.backend` dtype policy) the unfused compiled path executes
-the exact same floating-point operations as the graph forward, so
-outputs agree bitwise (the parity suite asserts atol 1e-9 and equality).
+:mod:`repro.backend` dtype policy) a compiled plan executes the exact
+same floating-point operations as the graph forward, op for op, so
+outputs agree bitwise (the parity suite asserts ``array_equal``).
 ``float32`` is an explicit opt-in (``dtype="float32"``) that casts the
 weights once at compile time and trades ~1e-6 relative error for roughly
 double throughput.
@@ -66,7 +56,6 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend.kernels import INPLACE_ACTIVATIONS, fused_dense_act
 from repro.backend.policy import DtypeLike, resolve_dtype
 from repro.nn.layers import Activation, Dense, Module, Sequential
 from repro.nn.regularization import Dropout
@@ -110,40 +99,55 @@ def force_graph_forward() -> Iterator[None]:
         _FORCED_GRAPH.active = previous
 
 
-# -- fused-kernel escape hatch ------------------------------------------
-class _FusedPolicy(threading.local):
-    enabled = True
+# -- in-place activation kernels ----------------------------------------
+# Each kernel owns its argument (works in place) and must return the
+# result array. They replay the autodiff graph's float64 op sequences
+# exactly, which is what gives compiled plans their bitwise parity.
 
 
-_FUSED_POLICY = _FusedPolicy()
+def relu_(x: np.ndarray) -> np.ndarray:
+    np.maximum(x, 0.0, out=x)
+    return x
 
 
-def fused_kernels_enabled() -> bool:
-    """Whether newly compiled plans in this thread fuse Dense+activation."""
-    return _FUSED_POLICY.enabled
+def leaky_relu_(x: np.ndarray) -> np.ndarray:
+    np.multiply(x, np.where(x > 0, x.dtype.type(1.0), x.dtype.type(0.01)), out=x)
+    return x
 
 
-@contextlib.contextmanager
-def disable_fused_kernels() -> Iterator[None]:
-    """Compile plans with the unfused (bitwise graph-parity) op sequence.
+def tanh_(x: np.ndarray) -> np.ndarray:
+    np.tanh(x, out=x)
+    return x
 
-    The fused-kernel escape hatch: inside the block every new
-    compilation in this thread uses separate matmul / bias-add /
-    activation steps, replaying the graph forward's exact float64 op
-    sequence. Cached fused plans are not evicted — fused and unfused
-    plans occupy distinct cache slots.
-    """
-    previous = _FUSED_POLICY.enabled
-    _FUSED_POLICY.enabled = False
-    try:
-        yield
-    finally:
-        _FUSED_POLICY.enabled = previous
+
+def sigmoid_(x: np.ndarray) -> np.ndarray:
+    # 1 / (1 + exp(-clip(x))), the same guarded form as Tensor.sigmoid.
+    np.clip(x, -500, 500, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += x.dtype.type(1.0)
+    np.reciprocal(x, out=x)
+    return x
+
+
+def softplus_(x: np.ndarray) -> np.ndarray:
+    np.logaddexp(x.dtype.type(0.0), x, out=x)
+    return x
+
+
+#: name -> in-place kernel; "linear" is the identity (no kernel).
+INPLACE_ACTIVATIONS: dict = {
+    "relu": relu_,
+    "leaky_relu": leaky_relu_,
+    "tanh": tanh_,
+    "sigmoid": sigmoid_,
+    "softplus": softplus_,
+    "linear": None,
+}
 
 
 _DENSE = 0
 _ACT = 1
-_FUSED = 2
 
 _MISSING = object()
 
@@ -193,44 +197,35 @@ class CompiledInference:
     steady state) run allocation-free.
     """
 
-    __slots__ = (
-        "_steps", "out_dim", "in_dim", "dtype", "fused",
-        "_buffers", "_rows", "_last_matmul",
-    )
+    __slots__ = ("_steps", "out_dim", "dtype", "_buffers", "_rows", "_last_matmul")
 
-    def __init__(
-        self,
-        steps: List[tuple],
-        in_dim: Optional[int],
-        out_dim: Optional[int],
-        dtype: np.dtype,
-        fused: bool = False,
-    ):
+    def __init__(self, steps: List[tuple], out_dim: Optional[int], dtype: np.dtype):
         self._steps = steps
-        self.in_dim = in_dim
         self.out_dim = out_dim
         self.dtype = dtype
-        self.fused = fused
         self._buffers: List[Optional[np.ndarray]] = []
         self._rows = -1
         # Index of the last matmul step: it (and the in-place activation
         # steps after it) writes into the caller-visible destination
         # rather than an internal buffer.
         self._last_matmul = max(
-            (i for i, step in enumerate(steps) if step[0] != _ACT), default=None
+            (i for i, step in enumerate(steps) if step[0] == _DENSE), default=None
         )
 
     def _allocate(self, rows: int) -> None:
         self._buffers = [
             None
             if step[0] == _ACT or i == self._last_matmul
-            else np.empty((rows, step[2].shape[1]), dtype=self.dtype)
+            else np.empty((rows, step[1].shape[1]), dtype=self.dtype)
             for i, step in enumerate(self._steps)
         ]
         self._rows = rows
 
-    def _destination(self, n: int, out: Optional[np.ndarray]) -> np.ndarray:
-        width = self.out_dim if self.out_dim is not None else self.in_dim
+    def _destination(
+        self, n: int, in_width: int, out: Optional[np.ndarray]
+    ) -> np.ndarray:
+        # A dense-free plan (pure activation stack) keeps the input width.
+        width = self.out_dim if self.out_dim is not None else in_width
         if out is None:
             return np.empty((n, width), dtype=self.dtype)
         if out.shape != (n, width):
@@ -250,51 +245,38 @@ class CompiledInference:
         if X.ndim != 2:
             raise ValueError(f"compiled inference expects a 2-D batch, got ndim={X.ndim}")
         n = X.shape[0]
+        dest = self._destination(n, X.shape[1], out)
         if n == 0:
-            if out is not None:
-                return self._destination(0, out)
-            width = self.out_dim if self.out_dim is not None else X.shape[1]
-            return np.empty((0, width), dtype=self.dtype)
+            return dest
         if self._last_matmul is None:
             # Pure activation stack: copy the input, apply in place.
-            if self.out_dim is None and out is not None and out.shape[1] != X.shape[1]:
-                raise ValueError(
-                    f"out has width {out.shape[1]}, input has {X.shape[1]}"
-                )
-            dest = out if out is not None else np.empty_like(X)
             np.copyto(dest, X)
-            for step in self._steps:
-                step[1](dest)
+            for _, kernel in self._steps:
+                kernel(dest)
             return dest
         if n != self._rows:
             self._allocate(n)
-        dest = self._destination(n, out)
         current = X
         owns_current = False  # may we mutate `current` in place?
         for i, step in enumerate(self._steps):
-            kind = step[0]
-            if kind == _ACT:
+            if step[0] == _ACT:
                 if not owns_current:
                     current = np.array(current, dtype=self.dtype)
                     owns_current = True
                 current = step[1](current)
                 continue
+            _, weight, bias = step
             target = dest if i == self._last_matmul else self._buffers[i]
-            if kind == _DENSE:
-                _, _, weight, bias = step
-                np.matmul(current, weight, out=target)
-                if bias is not None:
-                    target += bias
-            else:  # _FUSED
-                _, act_name, weight, bias = step
-                fused_dense_act(current, weight, bias, act_name, target)
+            np.matmul(current, weight, out=target)
+            if bias is not None:
+                target += bias
             current = target
             owns_current = True
         return current
 
 
 def _compile_with_meta(
-    module: Module, resolved: np.dtype, fused: bool
+    module: Module, resolved: np.dtype
 ) -> Tuple[CompiledInference, List, List, List]:
     """Compile, returning the plan plus the cache-validation metadata."""
     leaves: List[Module] = []
@@ -303,7 +285,6 @@ def _compile_with_meta(
     _collect(module, leaves, dropouts, containers)
     steps: List[tuple] = []
     params: List = []
-    in_dim: Optional[int] = None
     out_dim: Optional[int] = None
     for leaf in leaves:
         if isinstance(leaf, Dense):
@@ -316,10 +297,8 @@ def _compile_with_meta(
             if weight.dtype != resolved:
                 weight = weight.astype(resolved)
                 bias = bias.astype(resolved) if bias is not None else None
-            if in_dim is None:
-                in_dim = int(leaf.in_features)
             out_dim = int(leaf.out_features)
-            steps.append((_DENSE, None, weight, bias))
+            steps.append((_DENSE, weight, bias))
         elif isinstance(leaf, Activation):
             kernel = INPLACE_ACTIVATIONS.get(leaf.name, _MISSING)
             if kernel is _MISSING:
@@ -328,23 +307,17 @@ def _compile_with_meta(
                 )
             if kernel is None:
                 continue  # linear: identity, dropped at compile time
-            if fused and steps and steps[-1][0] == _DENSE:
-                _, _, weight, bias = steps[-1]
-                steps[-1] = (_FUSED, leaf.name, weight, bias)
-            else:
-                steps.append((_ACT, kernel))
+            steps.append((_ACT, kernel))
         else:
             raise NotCompilableError(
                 f"module {type(leaf).__name__} is not supported by the "
                 "compiled inference path"
             )
-    plan = CompiledInference(steps, in_dim, out_dim, resolved, fused=fused)
+    plan = CompiledInference(steps, out_dim, resolved)
     return plan, params, dropouts, containers
 
 
-def compile_inference(
-    module: Module, dtype: DtypeLike = None, fused: Optional[bool] = None
-) -> CompiledInference:
+def compile_inference(module: Module, dtype: DtypeLike = None) -> CompiledInference:
     """Compile a module tree into a graph-free forward plan.
 
     Parameters
@@ -358,13 +331,7 @@ def compile_inference(
         Execution precision: ``None`` (the thread's policy default,
         normally float64), ``"float64"``, or ``"float32"``. Weights are
         captured by reference at float64 and cast once at float32.
-    fused:
-        ``None`` (default) — fuse each Dense with its following
-        activation into one kernel call unless
-        :func:`disable_fused_kernels` is in effect;
-        ``True``/``False`` force the choice. Unfused plans replay the
-        graph's float64 op sequence bitwise; fused plans agree to
-        atol 1e-12.
+        A float64 plan replays the graph's op sequence bitwise.
 
     Returns
     -------
@@ -373,10 +340,7 @@ def compile_inference(
         after an optimizer step or ``load_state_dict`` (or use
         :func:`cached_inference`, which detects both automatically).
     """
-    resolved = resolve_dtype(dtype)
-    if fused is None:
-        fused = _FUSED_POLICY.enabled
-    plan, _, _, _ = _compile_with_meta(module, resolved, bool(fused))
+    plan, _, _, _ = _compile_with_meta(module, resolve_dtype(dtype))
     return plan
 
 
@@ -480,15 +444,13 @@ def evict_plan(module: Module) -> bool:
     return False
 
 
-def cached_inference(
-    module: Module, dtype: DtypeLike = None, fused: Optional[bool] = None
-) -> CompiledInference:
+def cached_inference(module: Module, dtype: DtypeLike = None) -> CompiledInference:
     """Return a compiled plan for ``module``, reusing a cached one when valid.
 
     The fast path for repeated serving calls against frozen weights: a
     cache hit is two tuple comparisons — no tree walk, no buffer
     allocation. The key is the tuple of parameter-array ``id()``\\ s
-    plus the dtype and fused flag. Optimizers rebind ``param.data`` on
+    plus the dtype. Optimizers rebind ``param.data`` on
     every step, so any weight update also changes the key and forces a
     recompile. Plans are cached per-thread because they own mutable
     scratch buffers.
@@ -498,14 +460,12 @@ def cached_inference(
     previously cached entry intact.
     """
     resolved = resolve_dtype(dtype)
-    if fused is None:
-        fused = _FUSED_POLICY.enabled
-    key = (resolved.str, bool(fused))
+    key = resolved.str
     try:
         bucket = _PLAN_CACHE.modules.setdefault(module, {})
     except TypeError:  # unhashable/non-weakrefable module: compile fresh
         _count("misses")
-        return compile_inference(module, dtype=resolved, fused=fused)
+        return compile_inference(module, dtype=resolved)
     entry = bucket.get(key)
     if entry is not None:
         if entry.valid():
@@ -514,8 +474,6 @@ def cached_inference(
         _count("invalidations")
     else:
         _count("misses")
-    plan, params, dropouts, containers = _compile_with_meta(
-        module, resolved, bool(fused)
-    )
+    plan, params, dropouts, containers = _compile_with_meta(module, resolved)
     bucket[key] = _CacheEntry(plan, params, dropouts, containers)
     return plan

@@ -131,7 +131,6 @@ def forward_in_batches(
     X: np.ndarray,
     batch_size: int = 4096,
     dtype=None,
-    compiled: Optional[bool] = None,
 ) -> np.ndarray:
     """Run ``model`` over ``X`` without building a graph, batched for memory.
 
@@ -144,23 +143,21 @@ def forward_in_batches(
     model's parameters have not been rebound since the last call — and
     falls back to the graph engine under ``no_grad`` only for module
     trees the compiler does not understand (custom modules,
-    training-mode dropout). Multi-chunk results are written directly
-    into one preallocated output array (no per-chunk copy, no final
-    concatenate).
+    training-mode dropout), or inside
+    :func:`~repro.nn.inference.force_graph_forward`. Multi-chunk results
+    are written directly into one preallocated output array (no
+    per-chunk copy, no final concatenate).
 
     Parameters
     ----------
     model, X, batch_size:
-        As before; ``X`` is processed in ``batch_size`` chunks.
+        ``X`` is processed in chunks of ``batch_size`` rows; a
+        ``batch_size`` below 1 raises ``ValueError``.
     dtype:
         Inference precision per the :mod:`repro.backend` policy:
         ``None`` (thread default, normally float64) or
         ``"float64"``/``"float32"``. The graph fallback always computes
         in float64 and casts the result.
-    compiled:
-        ``None`` (default) — compile when possible; ``False`` — force
-        the graph engine; ``True`` — require the compiled path
-        (:class:`~repro.nn.inference.NotCompilableError` propagates).
 
     Empty input returns an empty ``(0, out_dim)`` array (``out_dim``
     inferred from the model's last dense layer) so downstream reductions
@@ -175,32 +172,27 @@ def forward_in_batches(
         graph_forward_forced,
     )
 
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
     resolved = resolve_dtype(dtype)
     plan = None
-    if compiled is not False and not graph_forward_forced():
+    if not graph_forward_forced():
         try:
             plan = cached_inference(model, dtype=resolved)
         except NotCompilableError:
-            if compiled:
-                raise
+            pass
     if plan is not None and len(X):
         if len(X) <= batch_size:
             return plan(X)  # single chunk: the plan returns a fresh array
-        if plan.out_dim is not None:
-            # Write each chunk's final dense segment straight into one
-            # preallocated result — no per-chunk copy, no concatenate.
-            result = np.empty((len(X), plan.out_dim), dtype=resolved)
-            for start in range(0, len(X), batch_size):
-                stop = start + batch_size
-                plan(X[start:stop], out=result[start:stop])
-            return result
-        # Dense-free plan (pure activation stack): chunk widths follow
-        # the input, so fall back to gathering fresh per-chunk arrays.
-        outputs = [
-            plan(X[start : start + batch_size])
-            for start in range(0, len(X), batch_size)
-        ]
-        return np.concatenate(outputs, axis=0)
+        # Write each chunk's final segment straight into one preallocated
+        # result — no per-chunk copy, no concatenate. A dense-free plan
+        # (pure activation stack) keeps the input width.
+        width = plan.out_dim if plan.out_dim is not None else np.shape(X)[-1]
+        result = np.empty((len(X), width), dtype=resolved)
+        for start in range(0, len(X), batch_size):
+            stop = start + batch_size
+            plan(X[start:stop], out=result[start:stop])
+        return result
     if plan is None:
         outputs = []
         with no_grad():

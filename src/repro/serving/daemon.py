@@ -229,17 +229,6 @@ class ServingDaemon:
         Micro-batching ceiling: the dispatcher coalesces queued requests
         until the fused batch would exceed this many rows. A single
         larger request still dispatches alone.
-    adaptive_batch:
-        Tune the coalescing ceiling per dispatch from the admission
-        queue instead of always fusing up to ``max_batch_rows``: the
-        effective ceiling is the rows currently queued divided by the
-        idle workers (clamped to ``[min_batch_rows, max_batch_rows]``),
-        so a deep queue fuses aggressively while a multi-worker daemon
-        under moderate load spreads work across workers instead of
-        piling everything onto the first idle one. The live ceiling is
-        published as the ``serve.daemon.batch_ceiling`` gauge.
-    min_batch_rows:
-        Adaptive-mode floor for the coalescing ceiling.
     start_method:
         Multiprocessing start method (``None`` prefers ``"fork"``).
     telemetry:
@@ -253,8 +242,6 @@ class ServingDaemon:
         n_workers: int = 1,
         ring_bytes: int = 8 << 20,
         max_batch_rows: int = 8192,
-        adaptive_batch: bool = False,
-        min_batch_rows: int = 64,
         start_method: Optional[str] = None,
         telemetry=None,
     ):
@@ -262,24 +249,16 @@ class ServingDaemon:
             raise ValueError("n_workers must be >= 1")
         if max_batch_rows < 1:
             raise ValueError("max_batch_rows must be >= 1")
-        if not 1 <= min_batch_rows <= max_batch_rows:
-            raise ValueError(
-                "min_batch_rows must be in [1, max_batch_rows]; got "
-                f"{min_batch_rows} with max_batch_rows={max_batch_rows}"
-            )
         self.spec = spec
         self.n_workers = int(n_workers)
         self.ring_bytes = int(ring_bytes)
         self.max_batch_rows = int(max_batch_rows)
-        self.adaptive_batch = bool(adaptive_batch)
-        self.min_batch_rows = int(min_batch_rows)
         self.telemetry = ensure_telemetry(telemetry)
         self.start_method = start_method
         self._n_cols = int(spec.layers[0][1].shape[0])
         self._lock = threading.Lock()
         self._work_cv = threading.Condition(self._lock)
         self._pending: Deque[_Request] = deque()
-        self._pending_rows = 0  # incremental sum(len(r.X) for r in _pending)
         self._slots: List[_WorkerSlot] = []
         self._threads: List[threading.Thread] = []
         self._next_dispatch = 0
@@ -445,7 +424,6 @@ class ServingDaemon:
             self._closing = True
             pending = list(self._pending)
             self._pending.clear()
-            self._pending_rows = 0
             inflight = [d for slot in self._slots for d in slot.inflight]
             self._work_cv.notify_all()
         for dispatch in inflight:
@@ -504,7 +482,6 @@ class ServingDaemon:
             if self._closing:
                 raise DaemonUnavailable("daemon is closing")
             self._pending.append(request)
-            self._pending_rows += len(X)
             if self.telemetry.enabled:
                 self.telemetry.increment("serve.daemon.requests")
                 self.telemetry.increment("serve.daemon.rows", len(X))
@@ -528,26 +505,6 @@ class ServingDaemon:
                 return slot
         return None
 
-    def _effective_ceiling(self) -> int:
-        """Coalescing ceiling for the next dispatch (caller holds the lock).
-
-        Fixed ``max_batch_rows`` unless ``adaptive_batch`` is on, in
-        which case the queued rows are spread over the currently idle
-        workers: ``ceil(pending_rows / idle)`` clamped to
-        ``[min_batch_rows, max_batch_rows]``. Deep single-worker queues
-        therefore still fuse up to the maximum, while a multi-worker
-        daemon under moderate load hands each idle worker a share
-        instead of fusing the whole queue into one dispatch.
-        """
-        if not self.adaptive_batch:
-            return self.max_batch_rows
-        n_idle = sum(1 for slot in self._slots if not slot.busy)
-        target = -(-self._pending_rows // max(n_idle, 1))  # ceil division
-        ceiling = max(self.min_batch_rows, min(self.max_batch_rows, target))
-        if self.telemetry.enabled:
-            self.telemetry.set_gauge("serve.daemon.batch_ceiling", float(ceiling))
-        return ceiling
-
     def _dispatch_loop(self) -> None:
         while True:
             with self._lock:
@@ -558,17 +515,15 @@ class ServingDaemon:
                 if self._closing:
                     return
                 slot = self._idle_slot()
-                ceiling = self._effective_ceiling()
                 requests = [self._pending.popleft()]
                 rows = len(requests[0].X)
                 while (
                     self._pending
-                    and rows + len(self._pending[0].X) <= ceiling
+                    and rows + len(self._pending[0].X) <= self.max_batch_rows
                 ):
                     request = self._pending.popleft()
                     rows += len(request.X)
                     requests.append(request)
-                self._pending_rows -= rows
                 dispatch = _Dispatch(self._next_dispatch, requests)
                 self._next_dispatch += 1
                 slot.busy = True

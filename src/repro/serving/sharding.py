@@ -10,7 +10,7 @@ in each worker, and the pipeline's hot-swap pushes a fresh one through
 :meth:`~repro.serving.executor.Executor.update_spec`. Workers run the
 same forward functions the single-process path runs
 (:func:`repro.nn.train.forward_in_batches` +
-:func:`repro.core.scoring.route_from_logits`), so on identical float64
+:func:`repro.core.scoring.score_and_route`), so on identical float64
 inputs their scores and routing are identical to ``model.score_batch``.
 """
 
@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.scoring import route_from_logits, softmax, target_anomaly_score
+from repro.core.scoring import score_and_route
 from repro.nn.layers import Activation, Dense, Sequential
 from repro.nn.train import forward_in_batches
 
@@ -64,14 +64,12 @@ class ScoringSpec:
     def score(self, network: Sequential, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Score rows exactly like ``TargAD.score_batch`` does.
 
-        Same forward path (compiled, cached), same softmax / Eq. 9 /
-        tri-class routing functions — float64-identical to the parent.
+        Same forward path (compiled, cached) and the same
+        :func:`~repro.core.scoring.score_and_route` — float64-identical
+        to the parent.
         """
         logits = forward_in_batches(network, X, batch_size=self.batch_size)
-        probs = softmax(logits)
-        scores = target_anomaly_score(probs, self.m)
-        routing = route_from_logits(logits, probs, self.m, self.k, self.strategy)
-        return scores, routing
+        return score_and_route(logits, self.m, self.k, self.strategy)
 
 
 def build_scoring_spec(model, strategy: str = "ed") -> ScoringSpec:

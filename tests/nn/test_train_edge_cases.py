@@ -83,3 +83,9 @@ class TestForwardInBatchesEdgeCases:
             forward_in_batches(model, X, batch_size=1),
             forward_in_batches(model, X, batch_size=100),
         )
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_non_positive_batch_size_raises(self, batch_size):
+        model = mlp([3, 2], rng=np.random.default_rng(3))
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            forward_in_batches(model, np.ones((5, 3)), batch_size=batch_size)
