@@ -9,6 +9,7 @@
 #   scripts/ci.sh daemon   # serving daemon + shm ring suites + replay smoke
 #   scripts/ci.sh executor # executor conformance suite (2-worker daemons)
 #   scripts/ci.sh lifecycle # drift-triggered refit + hot-swap suites + CLI smoke
+#   scripts/ci.sh drift    # drift monitor: bitwise KS property suite + robustness tests
 #   scripts/ci.sh backend  # dtype policy, compiled-plan conformance, plan cache, end-to-end parity
 #   scripts/ci.sh bench    # inference throughput benchmark (non-gating)
 #
@@ -88,6 +89,18 @@ run_lifecycle() {
     python -m pytest -x -q -m chaos tests/serving/test_chaos.py -k Swap
     python -m repro.cli lifecycle --dataset kddcup99 --scale 0.02 \
         --refit-epochs 2 --json /tmp/lifecycle_smoke.json
+}
+
+run_drift() {
+    # The drift-monitor lane: DriftMonitor.check evaluates the KS
+    # statistic only at the batch's own points, and the Hypothesis suite
+    # holds it bitwise to the grid-based ks_statistic oracle (ties,
+    # NaN/inf, signed zeros, constant and all-non-finite columns,
+    # subsampled references, taxonomy-shifted batches); the robustness
+    # tests pin skip rules, the exact-mass rule and fit validation.
+    echo '== drift lane: bitwise KS property suite + robustness =='
+    python -m pytest -x -q tests/serving/test_drift_properties.py \
+        tests/serving/test_drift.py
 }
 
 run_backend() {
@@ -182,8 +195,9 @@ case "$lane" in
     daemon) run_daemon ;;
     executor) run_executor ;;
     lifecycle) run_lifecycle ;;
+    drift) run_drift ;;
     backend) run_backend ;;
     bench) run_bench ;;
     all)   run_tier1; run_fast ;;
-    *)     echo "usage: scripts/ci.sh [tier1|fast|chaos|taxonomy|daemon|executor|lifecycle|backend|bench|all]" >&2; exit 2 ;;
+    *)     echo "usage: scripts/ci.sh [tier1|fast|chaos|taxonomy|daemon|executor|lifecycle|drift|backend|bench|all]" >&2; exit 2 ;;
 esac

@@ -23,7 +23,10 @@ Every executor scores through the same :class:`ScoringSpec` forward
 functions the inline path uses, so on identical float64 inputs scores
 and routing are bitwise-identical across the whole chain — the
 conformance suite (``tests/serving/test_executor_conformance.py``)
-pins that, including across hot swaps.
+pins that, including across hot swaps. The one exception is a request
+the daemon coalesces with concurrent ones into a larger dispatch: its
+routes are the same and its scores are within ``1e-12`` of scoring it
+alone (a 1-row matmul may take a different BLAS kernel).
 """
 
 from __future__ import annotations

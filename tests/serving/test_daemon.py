@@ -26,6 +26,11 @@ from repro.serving.replay import ReplaySpec, build_schedule, replay_daemon
 from repro.serving.sharding import ScoringSpec, build_scoring_spec
 
 
+#: Per-request score tolerance of a request coalesced into a larger
+#: dispatch, against scoring that request alone (docs/api.md).
+COALESCED_ATOL = 1e-12
+
+
 class FaultyDaemonSpec(ScoringSpec):
     """Spec whose worker-side scoring always faults with a distinctive
     type (module-level: must survive the trip into the worker)."""
@@ -126,6 +131,35 @@ class TestDaemonScoring:
         assert snap["dispatches"] < snap["requests"]
         assert snap["p50_ms"] > 0.0
         assert telemetry.timer_stats("serve.daemon.request").count >= 12
+
+    def test_coalesced_single_row_requests_within_atol(self, fitted):
+        """1-row requests fused into one dispatch: the fused rows are
+        bitwise the same rows scored as one batch, and each request is
+        within ``COALESCED_ATOL`` of (and routes like) scoring it alone.
+
+        A 1-row matmul may take a different BLAS kernel than the same
+        row inside a larger one, so per-request bitwise equality with
+        inline ``score_batch`` is not part of the contract.
+        """
+        model, split = fitted
+        spec = build_scoring_spec(model, "ed")
+        big = np.repeat(split.X_test, 8, axis=0)  # keeps the worker busy
+        rows = split.X_test[:30]
+        with ServingDaemon(spec, telemetry=TelemetryRegistry()) as daemon:
+            daemon.score(split.X_test[:4])  # warm the worker's plan cache
+            blocker = daemon.submit(big)
+            singles = [daemon.submit(rows[i:i + 1]) for i in range(len(rows))]
+            blocker.result(60.0)
+            results = [handle.result(60.0) for handle in singles]
+            snap = daemon.slo_snapshot()
+        assert snap["coalesced"] >= len(rows) - 1  # one fused dispatch
+        fused_scores, fused_routing = model.score_batch(rows, strategy="ed")
+        np.testing.assert_array_equal(np.concatenate([s for s, _ in results]), fused_scores)
+        np.testing.assert_array_equal(np.concatenate([r for _, r in results]), fused_routing)
+        for i, (scores, routing) in enumerate(results):
+            alone_scores, alone_routing = model.score_batch(rows[i:i + 1], strategy="ed")
+            np.testing.assert_allclose(scores, alone_scores, rtol=0, atol=COALESCED_ATOL)
+            np.testing.assert_array_equal(routing, alone_routing)
 
     def test_worker_model_fault_reraised_with_original_type(self):
         spec = _faulty_spec()

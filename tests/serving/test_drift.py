@@ -69,6 +69,13 @@ class TestDriftMonitor:
             DriftMonitor(max_reference=max_reference)
 
 
+    def test_zero_width_reference_rejected(self):
+        # A width-0 monitor would build reports whose max_statistic,
+        # summary() and to_dict() reduce an empty statistics array.
+        with pytest.raises(ValueError, match="width 0"):
+            DriftMonitor().fit(np.zeros((5, 0)))
+
+
 class TestRobustness:
     """Degenerate references and hostile batches must not raise or
     manufacture spurious drift."""
